@@ -343,5 +343,11 @@ def build_data_structure_ontology() -> Ontology:
 
 @lru_cache(maxsize=1)
 def default_ontology() -> Ontology:
-    """The shared Data Structure ontology (built once per process)."""
+    """The shared Data Structure ontology.
+
+    Built on the first call and cached: every later call in the process
+    returns that same instance, so an edit made through one holder is
+    seen by every other.  :func:`build_data_structure_ontology` builds a
+    private copy.
+    """
     return build_data_structure_ontology()

@@ -34,9 +34,12 @@ class PathResult:
 class OntologyGraph:
     """Adjacency view over an :class:`~repro.ontology.model.Ontology`.
 
-    Build once per ontology snapshot; rebuilding after mutation is the
-    caller's responsibility (the system facade rebuilds on ontology
-    reloads).
+    A snapshot: the adjacency is copied from the ontology at construction
+    and never refreshed, so items and relations added to the ontology
+    afterwards are invisible here.  Nothing in the package rebuilds a
+    graph after an edit; a caller that edits the ontology must build a
+    new graph itself.  Single-source distances are memoized per source
+    over that snapshot.
     """
 
     def __init__(self, ontology: Ontology, kinds: tuple[RelationKind, ...] | None = None) -> None:
@@ -50,6 +53,7 @@ class OntologyGraph:
             weight = relation.kind.weight
             self._adjacency[relation.source].append((relation.target, weight))
             self._adjacency[relation.target].append((relation.source, weight))
+        self._distances: dict[int, dict[int, float]] = {}
 
     def neighbors(self, node: int) -> list[tuple[int, float]]:
         return list(self._adjacency.get(node, ()))
@@ -84,13 +88,22 @@ class OntologyGraph:
         return PathResult(best[target], tuple(path))
 
     def distance(self, source: int, target: int) -> float:
-        return self.shortest_path(source, target).distance
+        if source not in self._adjacency or target not in self._adjacency:
+            return INFINITY
+        return self._single_source(source).get(target, INFINITY)
 
     def distances_from(self, source: int) -> dict[int, float]:
         """Single-source distances to every reachable node."""
         if source not in self._adjacency:
             return {}
-        best: dict[int, float] = {source: 0.0}
+        return dict(self._single_source(source))
+
+    def _single_source(self, source: int) -> dict[int, float]:
+        """Memoized Dijkstra from ``source``; stored only once complete."""
+        best = self._distances.get(source)
+        if best is not None:
+            return best
+        best = {source: 0.0}
         heap: list[tuple[float, int]] = [(0.0, source)]
         while heap:
             dist, node = heapq.heappop(heap)
@@ -101,6 +114,7 @@ class OntologyGraph:
                 if candidate < best.get(neighbor, INFINITY):
                     best[neighbor] = candidate
                     heapq.heappush(heap, (candidate, neighbor))
+        self._distances[source] = best
         return best
 
     def connected_components(self) -> list[set[int]]:

@@ -118,12 +118,43 @@ class Relation:
     target: int
 
 
+# Relation targets in first-occurrence order, plus their ids.
+_Targets = tuple[tuple[Item, ...], frozenset[int]]
+
+
+class _Memos:
+    """Answers derived from one ontology generation.
+
+    Every entry is immutable and stored only once complete, so a thread
+    that reads an entry never sees a partial one; two threads racing to
+    build the same entry store equal values.
+    """
+
+    __slots__ = ("generation", "closure", "inherited", "concepts", "supporters")
+
+    def __init__(self, generation: int) -> None:
+        self.generation = generation
+        # start id -> transitive IS-A ancestors, BFS order
+        self.closure: dict[int, tuple[Item, ...]] = {}
+        # (item id, HAS_OPERATION | HAS_PROPERTY, inherit) -> (targets, their ids)
+        self.inherited: dict[tuple[int, RelationKind, bool], _Targets] = {}
+        # concepts in id order (None until first asked)
+        self.concepts: tuple[Item, ...] | None = None
+        # inherit -> operation id -> supporting concepts, id order
+        self.supporters: dict[bool, dict[int, tuple[Item, ...]]] = {}
+
+
 class Ontology:
     """The knowledge body: items plus typed relations.
 
-    Items are indexed by id and by every name/alias (lower-cased).  The
-    class is a plain in-memory store; graph analytics live in
-    :mod:`repro.ontology.graph` and :mod:`repro.ontology.distance`.
+    Items are indexed by id and by every name/alias (lower-cased).
+    Relations are indexed by ``(source, kind)`` and ``(target, kind)``
+    (``kind=None`` lists every kind), each list in insertion order.
+    IS-A closures, inherited operations and properties and the
+    concepts-per-operation map are memoized per :attr:`generation`.
+    Graph analytics live in :mod:`repro.ontology.graph` and
+    :mod:`repro.ontology.distance`; ``docs/ontology.md`` states the
+    query and invalidation contract.
     """
 
     def __init__(self, domain: str = "Data Structure") -> None:
@@ -132,6 +163,30 @@ class Ontology:
         self._by_name: dict[str, int] = {}
         self._relations: list[Relation] = []
         self._relation_set: set[Relation] = set()
+        self._outgoing: dict[tuple[int, RelationKind | None], list[Relation]] = {}
+        self._incoming: dict[tuple[int, RelationKind | None], list[Relation]] = {}
+        self._generation = 0
+        self._memos = _Memos(0)
+
+    def __getstate__(self) -> dict:
+        """Pickle the items, relations and indexes but not the memos;
+        the receiving side rebuilds them lazily on first query."""
+        state = self.__dict__.copy()
+        state["_memos"] = _Memos(self._generation)
+        return state
+
+    @property
+    def generation(self) -> int:
+        """Counter bumped by every :meth:`add_item` and every
+        :meth:`add_relation` that adds a relation; the memos are keyed
+        by it."""
+        return self._generation
+
+    def _current_memos(self) -> _Memos:
+        memos = self._memos
+        if memos.generation != self._generation:
+            memos = self._memos = _Memos(self._generation)
+        return memos
 
     # ------------------------------------------------------------- storage
 
@@ -162,6 +217,7 @@ class Ontology:
         self._items[item.item_id] = item
         for name in item.all_names():
             self._by_name[name.lower()] = item.item_id
+        self._generation += 1
         return item
 
     def add_relation(self, source: int | str, kind: RelationKind, target: int | str) -> Relation:
@@ -171,6 +227,13 @@ class Ontology:
             return relation
         self._relations.append(relation)
         self._relation_set.add(relation)
+        for index, node in ((self._outgoing, relation.source), (self._incoming, relation.target)):
+            index.setdefault((node, None), []).append(relation)
+            if kind is not None:
+                index.setdefault((node, kind), []).append(relation)
+        # Bump only once the indexes are complete: a memo built for the
+        # new generation must see this relation.
+        self._generation += 1
         return relation
 
     # -------------------------------------------------------------- lookup
@@ -206,70 +269,100 @@ class Ontology:
 
     def relations_from(self, key: int | str, kind: RelationKind | None = None) -> list[Relation]:
         source = self.resolve(key).item_id
-        return [
-            r for r in self._relations
-            if r.source == source and (kind is None or r.kind == kind)
-        ]
+        return list(self._outgoing.get((source, kind), ()))
 
     def relations_to(self, key: int | str, kind: RelationKind | None = None) -> list[Relation]:
         target = self.resolve(key).item_id
-        return [
-            r for r in self._relations
-            if r.target == target and (kind is None or r.kind == kind)
-        ]
+        return list(self._incoming.get((target, kind), ()))
 
     def parents(self, key: int | str) -> list[Item]:
         """IS-A parents of an item."""
-        return [self.get(r.target) for r in self.relations_from(key, RelationKind.IS_A)]
+        source = self.resolve(key).item_id
+        return [self._items[r.target] for r in self._outgoing.get((source, RelationKind.IS_A), ())]
 
     def ancestors(self, key: int | str) -> list[Item]:
         """All transitive IS-A ancestors, nearest first (BFS order)."""
-        start = self.resolve(key).item_id
-        seen: list[int] = []
-        frontier = [start]
-        while frontier:
-            next_frontier: list[int] = []
-            for node in frontier:
-                for relation in self.relations_from(node, RelationKind.IS_A):
-                    if relation.target not in seen and relation.target != start:
-                        seen.append(relation.target)
-                        next_frontier.append(relation.target)
-            frontier = next_frontier
-        return [self.get(item_id) for item_id in seen]
+        return list(self._closure(self.resolve(key).item_id))
 
     def operations_of(self, key: int | str, inherit: bool = True) -> list[Item]:
         """Operations supported by a concept, optionally via IS-A chains."""
         concept = self.resolve(key)
-        sources = [concept] + (self.ancestors(concept.item_id) if inherit else [])
-        operations: dict[int, Item] = {}
-        for source in sources:
-            for relation in self.relations_from(source.item_id, RelationKind.HAS_OPERATION):
-                operations.setdefault(relation.target, self.get(relation.target))
-        return list(operations.values())
+        return list(self._inherited(concept.item_id, RelationKind.HAS_OPERATION, bool(inherit))[0])
 
     def has_operation(self, concept: int | str, operation: int | str, inherit: bool = True) -> bool:
         """Does ``concept`` support ``operation`` (directly or inherited)?"""
         target = self.resolve(operation).item_id
-        return any(op.item_id == target for op in self.operations_of(concept, inherit=inherit))
+        source = self.resolve(concept).item_id
+        return target in self._inherited(source, RelationKind.HAS_OPERATION, bool(inherit))[1]
 
     def concepts_with_operation(self, operation: int | str, inherit: bool = True) -> list[Item]:
         """All concepts supporting ``operation`` — the QA template
         "Which data structure has the method X?"."""
-        result = []
-        for item in self.items_of_kind(ItemKind.CONCEPT):
-            if self.has_operation(item.item_id, operation, inherit=inherit):
-                result.append(item)
-        return result
+        # With no concepts nothing resolves ``operation``, so an unknown
+        # one answers [] rather than raising.
+        if not self._concepts():
+            return []
+        target = self.resolve(operation).item_id
+        return list(self._supporters(bool(inherit)).get(target, ()))
 
     def properties_of(self, key: int | str, inherit: bool = True) -> list[Item]:
         """Properties of a concept (LIFO, FIFO, ...), optionally inherited."""
         concept = self.resolve(key)
-        sources = [concept] + (self.ancestors(concept.item_id) if inherit else [])
-        properties: dict[int, Item] = {}
-        for source in sources:
-            for relation in self.relations_from(source.item_id, RelationKind.HAS_PROPERTY):
-                properties.setdefault(relation.target, self.get(relation.target))
-        return list(properties.values())
+        return list(self._inherited(concept.item_id, RelationKind.HAS_PROPERTY, bool(inherit))[0])
+
+    # --------------------------------------------------------------- memos
+
+    def _closure(self, start: int) -> tuple[Item, ...]:
+        memos = self._current_memos()
+        closure = memos.closure.get(start)
+        if closure is None:
+            seen: dict[int, None] = {}
+            frontier = [start]
+            while frontier:
+                next_frontier: list[int] = []
+                for node in frontier:
+                    for relation in self._outgoing.get((node, RelationKind.IS_A), ()):
+                        if relation.target not in seen and relation.target != start:
+                            seen[relation.target] = None
+                            next_frontier.append(relation.target)
+                frontier = next_frontier
+            closure = memos.closure[start] = tuple(self._items[item_id] for item_id in seen)
+        return closure
+
+    def _inherited(self, item_id: int, kind: RelationKind, inherit: bool) -> _Targets:
+        """Targets of ``kind`` relations from the item and, when
+        ``inherit``, from its ancestors."""
+        memos = self._current_memos()
+        key = (item_id, kind, inherit)
+        entry = memos.inherited.get(key)
+        if entry is None:
+            sources = [item_id] + ([a.item_id for a in self._closure(item_id)] if inherit else [])
+            found: dict[int, Item] = {}
+            for source in sources:
+                for relation in self._outgoing.get((source, kind), ()):
+                    found.setdefault(relation.target, self._items[relation.target])
+            entry = memos.inherited[key] = (tuple(found.values()), frozenset(found))
+        return entry
+
+    def _concepts(self) -> tuple[Item, ...]:
+        memos = self._current_memos()
+        concepts = memos.concepts
+        if concepts is None:
+            concepts = memos.concepts = tuple(self.items_of_kind(ItemKind.CONCEPT))
+        return concepts
+
+    def _supporters(self, inherit: bool) -> dict[int, tuple[Item, ...]]:
+        memos = self._current_memos()
+        supporters = memos.supporters.get(inherit)
+        if supporters is None:
+            lists: dict[int, list[Item]] = {}
+            for concept in self._concepts():
+                _, ids = self._inherited(concept.item_id, RelationKind.HAS_OPERATION, inherit)
+                for operation_id in ids:
+                    lists.setdefault(operation_id, []).append(concept)
+            supporters = {operation_id: tuple(items) for operation_id, items in lists.items()}
+            memos.supporters[inherit] = supporters
+        return supporters
 
     def validate(self) -> list[str]:
         """Consistency problems (dangling relations, IS-A cycles)."""
@@ -283,7 +376,7 @@ class Ontology:
             frontier = [item.item_id]
             while frontier:
                 node = frontier.pop()
-                for relation in self.relations_from(node, RelationKind.IS_A):
+                for relation in self._outgoing.get((node, RelationKind.IS_A), ()):
                     if relation.target == item.item_id:
                         problems.append(f"is-a cycle through {item.name!r}")
                         frontier = []
