@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""The sharded supervision runtime: O(1) posting, batched agent work.
+"""The supervision runtime: per-post supervision vs sharded batch drains.
 
-Posts the same classroom traffic to 16 rooms under two runtimes:
+Posts the same classroom traffic to 16 rooms under the two runtimes:
 
-* the synchronous pipeline (``inline``) — every ``say`` runs the full
-  Figure-3 agent flow before returning;
-* the sharded runtime — ``say`` just delivers and enqueues; rooms are
-  sharded across 4 workers and one ``drain()`` per round batches the
-  queued work, analysing each distinct sentence once and fanning the
-  result out across rooms.
+* ``queued`` (the default) — every ``say`` runs the full Figure-3 agent
+  flow before returning;
+* ``parallel`` — ``say`` just delivers and enqueues; rooms are sharded
+  across 4 workers with private store replicas, and one ``drain()`` per
+  round runs the shard batches on a thread pool, analysing each distinct
+  sentence once and fanning the result out across rooms, then merges the
+  replicas at the barrier.
 
 Run:  python examples/sharded_supervision.py [rounds]
 """
@@ -63,28 +64,28 @@ def run(system: ELearningSystem, rounds: int, drain_per_round: bool) -> float:
 def main() -> None:
     rounds = int(sys.argv[1]) if len(sys.argv) > 1 else 12
 
-    sync = build(SystemConfig(runtime_mode="inline"))
+    sync = build(SystemConfig(runtime_mode="queued"))
     sync_rate = run(sync, rounds, drain_per_round=False)
-    print(f"inline  runtime: {sync_rate:8.0f} msg/s  "
+    print(f"queued   runtime: {sync_rate:8.0f} msg/s  "
           f"(agents run on the posting path)")
 
-    sharded = build(SystemConfig(runtime_mode="sharded", shards=4))
-    sharded_rate = run(sharded, rounds, drain_per_round=True)
-    print(f"sharded runtime: {sharded_rate:8.0f} msg/s  "
-          f"({sharded_rate / sync_rate:.1f}x, workers drain deduped batches)")
+    with build(SystemConfig(runtime_mode="parallel", shards=4)) as sharded:
+        sharded_rate = run(sharded, rounds, drain_per_round=True)
+        print(f"parallel runtime: {sharded_rate:8.0f} msg/s  "
+              f"({sharded_rate / sync_rate:.1f}x, workers drain deduped batches)")
 
-    print(f"\nper-worker messages: {sharded.runtime.worker_loads()}")
-    print(f"merged stats equal per-worker sum: "
-          f"{sharded.stats.messages} messages, "
-          f"{sharded.stats.sentences} sentences, "
-          f"{sharded.stats.agent_replies} agent replies")
-    for worker_index, stats in enumerate(sharded.pipeline.worker_stats()):
-        print(f"  worker {worker_index}: {stats.messages} messages, "
-              f"{stats.agent_replies} replies")
+        print(f"\nper-worker messages: {sharded.runtime.worker_loads()}")
+        print(f"merged stats equal per-worker sum: "
+              f"{sharded.stats.messages} messages, "
+              f"{sharded.stats.sentences} sentences, "
+              f"{sharded.stats.agent_replies} agent replies")
+        for worker_index, stats in enumerate(sharded.pipeline.worker_stats()[1:]):
+            print(f"  worker {worker_index}: {stats.messages} messages, "
+                  f"{stats.agent_replies} replies")
 
-    # Identical supervision outcomes, radically different scheduling.
-    assert sync.stats == sharded.stats
-    print("\nsync and sharded runs agree on every supervision counter.")
+        # Identical supervision outcomes, radically different scheduling.
+        assert sync.stats == sharded.stats
+    print("\nqueued and parallel runs agree on every supervision counter.")
 
 
 if __name__ == "__main__":

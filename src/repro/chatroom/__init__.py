@@ -11,13 +11,7 @@ from .events import (
 )
 from .messages import ChatMessage, MessageKind, Participant, Role
 from .room import ChatRoom, ChatRoomError
-from .runtime import (
-    DrainBudget,
-    MULTI_WORKER_MODES,
-    POOL_MODES,
-    RUNTIME_MODES,
-    SupervisionRuntime,
-)
+from .runtime import DrainBudget, RUNTIME_MODES, SupervisionRuntime
 from .server import ChatServer
 from .shard import ShardQueue, SupervisionItem, SupervisionWorker, shard_of
 from .supervisor import (
@@ -39,9 +33,7 @@ __all__ = [
     "EventBus",
     "MessageDelivered",
     "MessageKind",
-    "MULTI_WORKER_MODES",
     "Participant",
-    "POOL_MODES",
     "QA_AGENT_NAME",
     "Role",
     "RUNTIME_MODES",

@@ -1,92 +1,44 @@
 """The supervision runtime: how agent analysis is scheduled.
 
-``ChatServer`` used to run the full Figure-3 supervision flow inline in
-``post``: posting latency grew with agent work, and one hot room stalled
-every other room.  The runtime makes the boundary explicit and gives it
-three modes:
-
-``inline``
-    The legacy shape: supervisors run synchronously inside ``post``, no
-    queue machinery at all.  Kept for parity testing and for callers
-    that want zero indirection.
+``ChatServer.post`` delivers a message and hands a
+:class:`SupervisionItem` to the runtime; the runtime decides when the
+supervising agents run and who owns the mutable stores while they do.
+Every drain runs the same barrier-cycle loop (:meth:`SupervisionRuntime.
+drain`); the two modes differ only in where a cycle's batches execute:
 
 ``queued`` (default)
-    ``post`` is O(1) — it enqueues a :class:`SupervisionItem` and
-    returns.  With ``auto_drain`` (the default) the queue is drained
-    immediately after each post by a single worker, which is
-    **byte-identical** to the inline pipeline: same transcripts, stats,
-    corpus records, profiles (asserted by the runtime parity suite).
-    With ``auto_drain=False`` the caller drains explicitly and posting
-    cost is independent of supervision work.
-
-``sharded``
-    Rooms are assigned to N shards by CRC-32; each shard is owned by one
-    :class:`SupervisionWorker` with its own pipeline clone and stats.
-    Draining batches items and shares one sentence-analysis memo across
-    the whole drain cycle, so identical sentences posted to many rooms
-    are parsed once and the results fanned out.  Agent replies land at
-    drain time (after the user messages of the batch), which is the
-    documented behavioural difference from the synchronous modes.
-    Workers share the corpus/profile/FAQ stores and are drained
-    cooperatively in index order on the caller's thread.
+    One worker runs the registered supervisors themselves, writing to
+    the shared corpus, profile and FAQ stores, on the caller's thread.
+    With ``auto_drain`` (the default) the queue is drained right after
+    each post; with ``auto_drain=False`` the caller drains explicitly
+    and posting cost is independent of supervision work.  This is the
+    serial reference every other schedule is checked against.
 
 ``parallel``
-    The sharded layout with **shard-local state ownership**: every
-    worker's pipeline is a :meth:`~repro.chatroom.supervisor.
-    SupervisionPipeline.fork_shard` twin writing to private replicas of
-    the corpus, profile and FAQ stores (see :mod:`repro.state`), and
-    drain cycles run the workers on a ``ThreadPoolExecutor``.  At the
-    cycle barrier the runtime merges every replica back (deterministic
-    in any merge order — writes carry their origin seq), flushes the
-    buffered agent replies in post order, and re-snapshots the
-    replicas.  Because no worker can see another shard's in-flight
-    writes, analyses are frozen against the barrier snapshot; the batch
-    memo therefore dedups *every* repeated sentence — faulty ones
-    included, which the shared-store modes must re-analyse per item —
-    and merged state is identical whatever the thread interleaving.  On
-    free-threaded builds the pool adds real core parallelism; under the
-    GIL the snapshot dedup is what the mode buys.
+    Rooms are assigned to N shards by CRC-32; every shard's worker runs
+    :meth:`~repro.chatroom.supervisor.SupervisionPipeline.fork_shard`
+    twins that write to private replicas of the stores (see
+    :mod:`repro.state`), and a cycle's batches run on a
+    ``ThreadPoolExecutor``.  At the barrier the replicas merge back
+    (deterministic in any merge order — writes carry their origin seq),
+    the buffered agent replies flush in post order and the replicas
+    re-snapshot.  Analyses are frozen against the barrier snapshot, so
+    the cycle memo dedups *every* repeated sentence and the merged
+    state is identical whatever the thread interleaving.
 
-``process``
-    The parallel layout with the barrier cycles running in **child
-    processes** — real core parallelism under the GIL.  Each shard owns
-    a long-lived single-process ``ProcessPoolExecutor`` whose child
-    holds a full private copy of the pipeline (built once from a pickled
-    spec — see :mod:`repro.chatroom.procworker`); per cycle the parent
-    ships only the item batch plus the sync deltas accumulated since the
-    shard's last dispatch, and receives a compact merged-delta (replica
-    merge payloads, buffered replies, stats, quarantine rows).  The
-    parent folds the deltas through the ordinary origin-seq merge, so
-    ``process`` snapshots are byte-identical to ``parallel``'s on the
-    same schedule.  A crashed child (``BrokenProcessPool``) is isolated
-    by rebuilding its pool and replaying the batch one item at a time:
-    the crasher dead-letters into quarantine, the rest of the batch is
-    supervised normally — the PR 7 failure contract, extended across
-    the process boundary.
-
-The cooperative modes are deterministic by construction; ``parallel``
-and ``process`` are deterministic in *outcome* (merged stores, stats,
-transcripts) for a fixed post/drain schedule, whatever the scheduler
-does.
+``queued`` is deterministic by construction; ``parallel`` is
+deterministic in *outcome* (merged stores, stats, transcripts) for a
+fixed post/drain schedule, whatever the scheduler does.
 """
 
 from __future__ import annotations
 
-import pickle
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
-from .procworker import ShardProcessSpec, child_cycle, child_init, item_to_wire
 from .shard import SupervisionItem, SupervisionWorker, dispatch, shard_of
 
-RUNTIME_MODES = ("inline", "queued", "sharded", "parallel", "process")
-
-#: Modes that spread rooms across more than one worker.
-MULTI_WORKER_MODES = ("sharded", "parallel", "process")
-
-#: Modes whose drains run on an executor the caller must close().
-POOL_MODES = ("parallel", "process")
+RUNTIME_MODES = ("queued", "parallel")
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,17 +81,14 @@ class SupervisionRuntime:
     """Schedules supervision work for a :class:`ChatServer`.
 
     Args:
-        mode: ``inline``, ``queued``, ``sharded`` or ``parallel`` (see
-            module docs).
-        shards: number of room shards / workers (multi-worker modes
-            only; the other modes always run a single worker).
-        batch_size: max items one worker processes per drain pass before
-            the cycle moves to the next worker (fairness bound); in
-            ``parallel`` mode, the per-worker batch between barriers.
+        mode: ``queued`` or ``parallel`` (see module docs).
+        shards: number of room shards / workers (``parallel`` only;
+            ``queued`` always runs a single worker).
+        batch_size: max items one worker takes per drain cycle (the
+            per-worker batch between barriers).
         auto_drain: drain after every submitted item.  Defaults to True
-            for ``inline``/``queued`` (synchronous semantics) and False
-            for the deferred modes (callers drain explicitly, posting is
-            O(1)).
+            for ``queued`` (synchronous semantics) and False for
+            ``parallel`` (callers drain explicitly, posting is O(1)).
         max_pending: per-shard queue bound.  ``None`` = unbounded; with
             a bound, an overloaded shard sheds its *oldest* pending item
             on push (see :class:`~repro.chatroom.shard.ShardQueue`).
@@ -159,11 +108,11 @@ class SupervisionRuntime:
             raise ValueError(f"unknown runtime mode {mode!r}; expected one of {RUNTIME_MODES}")
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        if mode not in MULTI_WORKER_MODES:
+        if mode == "queued":
             shards = 1
         self.mode = mode
         self.batch_size = batch_size
-        self.auto_drain = (mode in ("inline", "queued")) if auto_drain is None else auto_drain
+        self.auto_drain = (mode == "queued") if auto_drain is None else auto_drain
         self.max_pending = max_pending
         self.workers = [SupervisionWorker(index, max_pending) for index in range(shards)]
         if resilience is None:
@@ -178,28 +127,19 @@ class SupervisionRuntime:
         self.resilience = resilience
         self._prototypes: list = []
         self._draining = False
-        # Parallel mode: per-worker shard-store bundles (replicas +
-        # outboxes), supervisors without fork support (dispatched at the
-        # barrier on the caller's thread), and the lazily built pool.
-        self._bindings: list[list] = [[] for _ in self.workers]
+        # Parallel mode: every worker's shard-store bundles (replicas +
+        # outboxes) in worker order, supervisors without fork support
+        # (dispatched at the barrier on the caller's thread), and the
+        # lazily built pool.
+        self._bindings: list = []
         self._barrier_supervisors: list = []
         self._executor: ThreadPoolExecutor | None = None
-        # Process mode: supervisors shipped to children as pickled specs,
-        # per-(worker, supervisor) parent-side stats sinks, one
-        # single-process pool per shard (a shared pool cannot pin a
-        # shard to its warm child), and per-shard queues of sync groups
-        # not yet shipped (a shard only hears about other shards' merges
-        # on its next dispatch).
-        self._proc_supervisors: list = []
-        self._proc_sinks: list[list] = [[] for _ in self.workers]
-        self._pools: list[ProcessPoolExecutor] | None = None
-        self._pending_sync: list[list] = [[] for _ in self.workers]
 
     # --------------------------------------------------------- supervisors
 
     @property
     def supervisors(self) -> tuple:
-        """The registered supervisor prototypes (worker 0's instances).
+        """The registered supervisor prototypes.
 
         A tuple on purpose: the pre-runtime ``server.supervisors.append``
         registration pattern must fail loudly — appended supervisors
@@ -210,153 +150,110 @@ class SupervisionRuntime:
     def add_supervisor(self, supervisor) -> None:
         """Register a supervisor across all workers.
 
-        Cooperative modes: worker 0 gets the object itself; further
-        workers get per-worker clones when the supervisor supports it
-        (``clone()``), so each worker owns its shard's pipeline state
-        and stats.  Supervisors without ``clone`` are assumed stateless
-        and shared as-is.
+        ``queued``: the single worker runs the object itself.
 
-        ``parallel`` mode: *every* worker (index 0 included) gets a
-        ``fork_shard()`` twin owning private store replicas — the
-        prototype itself never runs on a pool thread.  Supervisors
-        without ``fork_shard`` are dispatched at the drain barrier on
-        the caller's thread, in post order, after the merge.
+        ``parallel``: *every* worker gets a ``fork_shard()`` twin owning
+        private store replicas — the prototype itself never runs on a
+        pool thread.  Supervisors without ``fork_shard`` are dispatched
+        at the drain barrier on the caller's thread, in post order,
+        after the merge.
         """
         self._prototypes.append(supervisor)
-        if self.mode == "process":
-            if self._pools is not None:
-                raise RuntimeError(
-                    "cannot add supervisors after the process pool started: "
-                    "the child processes were built from the earlier spec"
-                )
-            spec_fn = getattr(supervisor, "process_spec", None)
-            absorb = getattr(supervisor, "absorb_shard_delta", None)
-            if spec_fn is None or absorb is None:
-                self._barrier_supervisors.append(supervisor)
-                return
-            clone = getattr(supervisor, "clone", None)
-            self._proc_supervisors.append(supervisor)
-            for worker in self.workers:
-                # Per-worker stats sink: shipped per-cycle stats deltas
-                # and merge-time FAQ corrections land here, so
-                # combined_stats() aggregates exactly like parallel mode.
-                self._proc_sinks[worker.index].append(
-                    clone() if clone is not None else None
-                )
+        if self.mode == "queued":
+            self.workers[0].supervisors.append(supervisor)
             return
-        if self.mode == "parallel":
-            fork = getattr(supervisor, "fork_shard", None)
-            if fork is None:
-                self._barrier_supervisors.append(supervisor)
-                return
-            for worker in self.workers:
-                shard_pipeline, stores = fork()
-                worker.supervisors.append(shard_pipeline)
-                self._bindings[worker.index].append(stores)
+        fork = getattr(supervisor, "fork_shard", None)
+        if fork is None:
+            self._barrier_supervisors.append(supervisor)
             return
-        clone = getattr(supervisor, "clone", None)
         for worker in self.workers:
-            if worker.index == 0 or clone is None:
-                worker.supervisors.append(supervisor)
-            else:
-                worker.supervisors.append(clone())
+            shard_pipeline, stores = fork()
+            worker.supervisors.append(shard_pipeline)
+            self._bindings.append(stores)
 
     # ------------------------------------------------------------ schedule
 
     def submit(self, server, item: SupervisionItem) -> None:
         """Hand one delivered user message to the runtime."""
-        if self.mode == "inline":
-            worker = self.workers[0]
-            if worker.supervise_item(server, item, None, self.resilience):
-                worker.processed += 1
-            return
-        worker = self.workers[shard_of(item.room.name, len(self.workers))]
-        worker.enqueue(item)
+        self.workers[shard_of(item.room.name, len(self.workers))].enqueue(item)
         # A supervisor posting user-visible follow-ups during a drain must
         # not recurse; the outer drain loop picks the new item up.
         if self.auto_drain and not self._draining:
             self.drain(server)
 
     def drain(self, server) -> int:
-        """Drain every queue to empty; returns the number of items done.
+        """Drain every queue to empty; returns the number of items handled.
 
-        Cooperative modes: workers run in index order, ``batch_size``
-        items per pass, and the cycle repeats until no queue holds work
-        (items enqueued *during* the drain — e.g. by a
-        supervisor-triggered post — are included).  One sentence-analysis
-        memo is shared across the whole cycle: the cross-room dedup that
-        makes sharded drains cheaper than per-message supervision.
+        One loop of barrier-separated cycles serves both modes.  Each
+        cycle releases the deferred items the breakers allow back, takes
+        every worker's next batch (queues are only touched on the
+        caller's thread), runs the batches — inline for ``queued``, on
+        the pool for ``parallel`` — and then, at the barrier, merges and
+        rebases the store replicas, flushes the buffered agent replies in
+        post order, journals pool-buffered quarantine rows and hands the
+        barrier supervisors the cycle's items in post order.  Items
+        enqueued *during* the drain (a supervisor-triggered post) are
+        taken by a later cycle.  The drain ends when the queues are
+        empty and the last cycle handled nothing.
 
-        ``parallel`` mode: see :meth:`_drain_parallel`.
+        The sentence-analysis memo spans the whole drain in ``queued``
+        mode, where only corpus-independent analyses enter it; in
+        ``parallel`` mode its entries were computed against one cycle's
+        snapshot, so every cycle starts a fresh one.
         """
         if self._draining:
             return 0
         self._draining = True
-        done = 0
         resilience = self.resilience
+        pool = self._pool() if self.mode == "parallel" else None
+        memo: dict = {}
+        done = 0
         try:
-            if resilience is not None:
-                # One drain = one cooldown tick for open breakers, so a
-                # degraded system heals from drain traffic alone even
-                # when no new messages arrive to tick it via admission.
-                resilience.on_drain()
-            if self.mode == "parallel":
-                done = self._drain_parallel(server)
-            elif self.mode == "process":
-                done = self._drain_process(server)
-            else:
-                memo: dict = {}
-                progressed = True
-                while progressed:
-                    progressed = False
-                    if resilience is not None:
-                        released = resilience.take_releasable()
-                        if released:
-                            self.requeue_items(released)
-                    for worker in self.workers:
-                        n = worker.drain(server, self.batch_size, memo, resilience)
-                        if n:
-                            done += n
-                            progressed = True
-        finally:
-            self._draining = False
-        return done
-
-    def _drain_parallel(self, server) -> int:
-        """Drain in barrier-separated cycles on the worker pool.
-
-        Each cycle: the caller's thread pops every worker's next batch
-        (queues are never touched from pool threads), ships the batches
-        to the pool, and waits — the barrier.  Then, still on the
-        caller's thread, it merges every shard replica back into the
-        base stores (order-independent: buffered writes carry their
-        origin seq), flushes the buffered agent replies in post order,
-        re-snapshots the replicas, and hands barrier-registered
-        observers the cycle's items in post order.  The memo shared by
-        the cycle's workers is discarded with the cycle: its entries
-        were computed against the cycle's snapshot and must not outlive
-        it.
-        """
-        executor = self._executor
-        if executor is None:
-            executor = self._executor = ThreadPoolExecutor(
-                max_workers=len(self.workers),
-                thread_name_prefix="supervision-shard",
-            )
-        resilience = self.resilience
-        done = 0
-        while True:
-            if resilience is not None:
+            # One drain = one cooldown tick for open breakers, so a
+            # degraded system heals from drain traffic alone even when
+            # no new messages arrive to tick it via admission.
+            resilience.on_drain()
+            while True:
                 released = resilience.take_releasable()
                 if released:
                     self.requeue_items(released)
-            batches = [worker.take_batch(self.batch_size) for worker in self.workers]
-            cycle_items = sum(len(batch) for batch in batches)
-            if cycle_items == 0:
-                return done
-            memo: dict = {}
+                batches = [worker.take_batch(self.batch_size) for worker in self.workers]
+                if not any(batches):
+                    return done
+                if pool is not None:
+                    memo = {}
+                handled = self._run_batches(server, pool, batches, memo)
+                self._barrier(server, batches)
+                done += handled
+                if not handled and not self.pending:
+                    # Everything this cycle took was parked on the
+                    # deferred ledger: releasing it again now would
+                    # hammer a stage whose breaker just refused it.
+                    return done
+        finally:
+            self._draining = False
+
+    def _run_batches(self, server, pool, batches: list, memo: dict) -> int:
+        """Run one cycle's batches; returns the items handled.
+
+        A batch only aborts on a simulated crash; the first such error
+        is re-raised after every failed batch's unfinished tail is back
+        at the front of its queue, so a retried drain supervises it.
+        The replicas stay unmerged then: their buffered writes carry
+        origin tags and fold in at the next successful barrier.
+        """
+        resilience = self.resilience
+        try:
+            if pool is None:
+                return sum(
+                    worker.process_batch(server, batch, memo, resilience)
+                    for worker, batch in zip(self.workers, batches)
+                    if batch
+                )
+            # Quarantine rows of pool threads are journaled at the
+            # barrier: the event log is not thread-safe.
             futures = [
-                executor.submit(worker.process_batch, server, batch, memo, resilience)
+                pool.submit(worker.process_batch, server, batch, memo, resilience, True)
                 for worker, batch in zip(self.workers, batches)
                 if batch
             ]
@@ -365,254 +262,50 @@ class SupervisionRuntime:
             # let a retried drain() hand that worker's replica to the pool
             # while the old thread is still writing it.
             wait(futures)
-            if any(future.exception() is not None for future in futures):
-                # Requeue each failed batch's unprocessed tail (caller's
-                # thread — queues are never touched from the pool) so a
-                # mid-batch failure drops only the item that raised.
-                # Replicas stay unmerged: their buffered writes carry
-                # origin tags and fold in at the next successful barrier.
-                for worker in self.workers:
-                    if worker.unprocessed:
-                        worker.queue.requeue_front(worker.unprocessed)
-                        worker.unprocessed = []
-            handled = 0
-            for future in futures:
-                handled += future.result()  # re-raises the first worker error
-            for bindings in self._bindings:
-                for stores in bindings:
-                    stores.merge()
-            for bindings in self._bindings:
-                for stores in bindings:
-                    stores.rebase()
-            replies: list = []
-            for bindings in self._bindings:
-                for stores in bindings:
-                    replies.extend(stores.take_replies())
+            return sum(future.result() for future in futures)
+        finally:
+            for worker in self.workers:
+                if worker.unprocessed:
+                    worker.queue.requeue_front(worker.unprocessed)
+                    worker.unprocessed = []
+
+    def _barrier(self, server, batches: list) -> None:
+        """Fold one finished cycle into the shared state, caller's thread."""
+        bindings = self._bindings
+        if bindings:
+            for stores in bindings:
+                stores.merge()
+            for stores in bindings:
+                stores.rebase()
+            replies = [reply for stores in bindings for reply in stores.take_replies()]
             replies.sort(key=lambda reply: (reply[0], reply[1]))
             for _seq, _n, room, agent, text, message, severity in replies:
                 server.post_agent_reply(room, agent, text, message, severity)
-            if resilience is not None:
-                # Quarantine rows buffered on pool threads journal here,
-                # on the caller's thread — the event log is not
-                # thread-safe and must never be written from the pool.
-                resilience.flush_journal()
-            if self._barrier_supervisors:
-                deferred = resilience.deferred_seqs() if resilience is not None else ()
-                items = sorted(
-                    (
-                        item
-                        for batch in batches
-                        for item in batch
-                        if item.message.seq not in deferred
-                    ),
-                    key=lambda item: item.message.seq,
-                )
-                for item in items:
-                    for supervisor in self._barrier_supervisors:
-                        dispatch(supervisor, server, item, None)
-            done += handled
-
-    # ------------------------------------------------------- process mode
-
-    def _shard_spec_blob(self) -> bytes:
-        """Pickle the child-construction spec from the *current* bases.
-
-        Called once when the pools spin up — and again only to rebuild a
-        crashed shard, the sole case where a replica bundle is ever
-        re-pickled after the first dispatch.
-        """
-        retry = breaker = None
-        if self.resilience is not None:
-            retry = self.resilience.retry
-            breaker = next(iter(self.resilience.breakers.values())).policy
-        spec = ShardProcessSpec(
-            supervisors=[sup.process_spec() for sup in self._proc_supervisors],
-            retry=retry,
-            breaker=breaker,
-        )
-        return pickle.dumps(spec)
-
-    def _new_pool(self, blob: bytes) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=1, initializer=child_init, initargs=(blob,)
-        )
-
-    def _rebuild_pool(self, index: int) -> None:
-        """Replace shard ``index``'s (broken) pool with a warm rebuild.
-
-        The fresh child is constructed from the parent's *current* base
-        stores, so its pending-sync queue starts empty — every merge the
-        old child missed is already folded into the new spec.
-        """
-        self._pools[index].shutdown(wait=False)
-        self._pools[index] = self._new_pool(self._shard_spec_blob())
-        self._pending_sync[index] = []
-
-    def _absorb_result(self, index: int, result) -> int:
-        """Fold one shard's cycle result into the parent state (barrier).
-
-        Deltas merge through each supervisor's ``absorb_shard_delta``
-        (the ordinary origin-seq merge); shipped stats deltas and the
-        merge-time FAQ corrections credit the worker's stats sink, and
-        quarantine rows + counter deltas fold into the controller with
-        their journal writes buffered for the caller-thread flush.
-        """
-        sinks = self._proc_sinks[index]
-        for supervisor, sink, delta, stats in zip(
-            self._proc_supervisors, sinks, result.deltas, result.stats
-        ):
-            corrections = supervisor.absorb_shard_delta(delta)
-            if sink is not None:
-                sink.stats.merge(stats)
-                sink.stats.faq_hits += corrections
-        if self.resilience is not None and (result.quarantined or result.counters):
-            self.resilience.absorb_worker_results(result.quarantined, result.counters)
-        return result.handled
-
-    def _broadcast_sync(self, group: list) -> None:
-        """Queue one barrier's delta group for every shard's next dispatch."""
-        for pending in self._pending_sync:
-            pending.append(group)
-
-    def _flush_replies(self, server, replies: list) -> None:
-        replies.sort(key=lambda reply: (reply[0], reply[1]))
-        for _seq, _n, room, agent, text, message, severity in replies:
-            server.post_agent_reply(room, agent, text, message, severity)
-
-    def _isolate_broken_shard(self, server, index: int, batch: list) -> int:
-        """Recover a shard whose child process died mid-batch.
-
-        The dead child returned no delta, so none of its cycle's writes
-        happened — the whole batch is intact.  Rebuild the pool and
-        replay the batch one item per dispatch: an item that kills the
-        fresh child too is the poison and dead-letters parent-side; the
-        rest supervise normally, each mini-cycle merging and syncing
-        like an ordinary barrier.
-        """
-        from repro.resilience.quarantine import QuarantinedItem
-
-        handled = 0
-        self._rebuild_pool(index)
-        for item in batch:
-            future = self._pools[index].submit(
-                child_cycle,
-                self._pending_sync[index],
-                [item_to_wire(item)],
-            )
-            self._pending_sync[index] = []
-            try:
-                result = future.result()
-            except BrokenProcessPool:
-                row = QuarantinedItem.from_item(
-                    item,
-                    stage="dispatch",
-                    error="child process crashed (BrokenProcessPool)",
-                )
-                if self.resilience is not None:
-                    self.resilience.absorb_worker_results([row])
-                handled += 1
-                self._rebuild_pool(index)
-                continue
-            handled += self._absorb_result(index, result)
-            self._broadcast_sync([result.deltas])
-            self._flush_replies(server, list(result.replies))
-            if self.resilience is not None:
-                self.resilience.flush_journal()
-        return handled
-
-    def _drain_process(self, server) -> int:
-        """Drain in barrier-separated cycles on the child-process pools.
-
-        The cycle shape mirrors :meth:`_drain_parallel` with the state
-        crossing a process boundary: the caller's thread pops each
-        shard's batch, runs admission/replay *parent-side* (a child-side
-        breaker deferring an item would strand it in the wrong process),
-        ships batch + pending sync groups to the shard's warm child, and
-        at the barrier folds every returned delta into the base stores
-        in shard order, broadcasts the cycle's delta group to all
-        shards, flushes the buffered replies in post order, journals the
-        quarantine rows, and hands barrier observers the cycle's items.
-        """
-        if self._pools is None:
-            blob = self._shard_spec_blob()
-            self._pools = [self._new_pool(blob) for _ in self.workers]
         resilience = self.resilience
-        done = 0
-        while True:
-            if resilience is not None:
-                released = resilience.take_releasable()
-                if released:
-                    self.requeue_items(released)
-            batches = [worker.take_batch(self.batch_size) for worker in self.workers]
-            if sum(len(batch) for batch in batches) == 0:
-                return done
-            # Parent-side admission and recovery replay, mirroring
-            # supervise_item's front half; only admitted items ship.
-            shipped: list[list[SupervisionItem]] = []
-            for worker, batch in zip(self.workers, batches):
-                keep: list[SupervisionItem] = []
-                for item in batch:
-                    if resilience is not None:
-                        replayed = resilience.consume_replay(item.message.seq)
-                        if replayed is not None:
-                            resilience.quarantine_replayed(replayed)
-                            worker.processed += 1
-                            done += 1
-                            continue
-                        if not resilience.admit(item):
-                            continue
-                    keep.append(item)
-                shipped.append(keep)
-            futures = {}
-            for worker, batch in zip(self.workers, shipped):
-                if not batch:
-                    continue
-                groups = self._pending_sync[worker.index]
-                self._pending_sync[worker.index] = []
-                futures[worker.index] = self._pools[worker.index].submit(
-                    child_cycle, groups, [item_to_wire(item) for item in batch]
-                )
-            wait(list(futures.values()))
-            # Absorb successful shards first, in shard order — their
-            # deltas form this barrier's sync group; broken shards are
-            # isolated afterwards as their own mini-barriers.
-            broken: list[int] = []
-            group: list = []
-            replies: list = []
-            for index in sorted(futures):
-                error = futures[index].exception()
-                if isinstance(error, BrokenProcessPool):
-                    broken.append(index)
-                    continue
-                result = futures[index].result()  # re-raises child errors
-                group.append(result.deltas)
-                replies.extend(result.replies)
-                handled = self._absorb_result(index, result)
-                self.workers[index].processed += handled
-                done += handled
-            if group:
-                self._broadcast_sync(group)
-            self._flush_replies(server, replies)
-            if resilience is not None:
-                resilience.flush_journal()
-            for index in broken:
-                handled = self._isolate_broken_shard(server, index, shipped[index])
-                self.workers[index].processed += handled
-                done += handled
-            if self._barrier_supervisors:
-                deferred = resilience.deferred_seqs() if resilience is not None else ()
-                items = sorted(
-                    (
-                        item
-                        for batch in batches
-                        for item in batch
-                        if item.message.seq not in deferred
-                    ),
-                    key=lambda item: item.message.seq,
-                )
-                for item in items:
-                    for supervisor in self._barrier_supervisors:
-                        dispatch(supervisor, server, item, None)
+        resilience.flush_journal()
+        if self._barrier_supervisors:
+            deferred = resilience.deferred_seqs()
+            items = sorted(
+                (
+                    item
+                    for batch in batches
+                    for item in batch
+                    if item.message.seq not in deferred
+                ),
+                key=lambda item: item.message.seq,
+            )
+            for item in items:
+                for supervisor in self._barrier_supervisors:
+                    dispatch(supervisor, server, item, None)
+
+    def _pool(self) -> ThreadPoolExecutor:
+        executor = self._executor
+        if executor is None:
+            executor = self._executor = ThreadPoolExecutor(
+                max_workers=len(self.workers),
+                thread_name_prefix="supervision-shard",
+            )
+        return executor
 
     def requeue_items(self, items: list[SupervisionItem]) -> None:
         """Put items back at the front of their shards' queues, in seq
@@ -633,7 +326,7 @@ class SupervisionRuntime:
 
     @property
     def pending(self) -> int:
-        """Queued items not yet supervised (0 in the synchronous modes)."""
+        """Queued items not yet supervised (0 between posts under auto-drain)."""
         return sum(worker.pending for worker in self.workers)
 
     @property
@@ -668,16 +361,9 @@ class SupervisionRuntime:
         return sum(worker.shed for worker in self.workers)
 
     def close(self) -> None:
-        """Shut down the worker pools (idempotent; the cooperative modes
-        have nothing to release).  ``parallel`` releases its thread
-        pool; ``process`` shuts every shard's child process down and
-        waits for clean exits."""
+        """Shut the ``parallel`` worker pool down (idempotent; ``queued``
+        has nothing to release)."""
         executor = self._executor
         if executor is not None:
             self._executor = None
             executor.shutdown(wait=True)
-        pools = self._pools
-        if pools is not None:
-            self._pools = None
-            for pool in pools:
-                pool.shutdown(wait=True)

@@ -8,9 +8,9 @@ observe every user message after delivery and may post replies.
 Supervision is scheduled by a :class:`SupervisionRuntime` rather than run
 inline: ``post`` resolves the room once, delivers the message, and hands
 a :class:`SupervisionItem` to the runtime.  The default runtime (queued,
-single worker, drain-after-post) behaves byte-identically to the old
-synchronous fan-out; sharded runtimes defer agent work off the posting
-path entirely (see :mod:`repro.chatroom.runtime`).
+single worker, drain-after-post) supervises each message before ``post``
+returns; deferred-drain runtimes move agent work off the posting path
+entirely (see :mod:`repro.chatroom.runtime`).
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Room-sharded supervision work queues and workers.
 
-The sharded runtime (see :mod:`repro.chatroom.runtime`) decouples message
-delivery from agent analysis: :meth:`~repro.chatroom.server.ChatServer.post`
+The supervision runtime (see :mod:`repro.chatroom.runtime`) decouples
+message delivery from agent analysis: :meth:`~repro.chatroom.server.ChatServer.post`
 enqueues a :class:`SupervisionItem` on a deterministic per-room-shard
 queue, and :class:`SupervisionWorker` instances drain the queues in
 batches.  Everything here is single-process and deterministic — the
@@ -149,12 +149,12 @@ class SupervisionWorker:
     """Drains one shard's queue through this worker's supervisors.
 
     A worker is *stateless between batches*: all durable state lives in
-    the stores its supervisors write to — shared stores in the
-    cooperative modes, per-worker shard replicas merged at the barrier
-    in ``parallel`` mode — plus the supervisors' own counters.  Each
-    worker gets its own supervisor instances (pipeline clones or shard
-    forks with private stats), so N workers never contend on one stats
-    object and per-shard load is observable.
+    the stores its supervisors write to — the shared stores in
+    ``queued`` mode, per-worker shard replicas merged at the barrier in
+    ``parallel`` mode — plus the supervisors' own counters.  Each
+    ``parallel`` worker gets its own shard forks with private stats, so
+    N workers never contend on one stats object and per-shard load is
+    observable.
     """
 
     __slots__ = ("index", "queue", "supervisors", "processed", "unprocessed")
@@ -164,9 +164,8 @@ class SupervisionWorker:
         self.queue = ShardQueue(max_pending, shard=index)
         self.supervisors: list = []
         self.processed = 0
-        #: Tail of a failed batch (set on the pool thread when
-        #: :meth:`process_batch` raises; requeued by the runtime on the
-        #: caller's thread after the barrier).
+        #: Tail of a failed batch (set when :meth:`process_batch`
+        #: raises; requeued by the runtime on the caller's thread).
         self.unprocessed: list[SupervisionItem] = []
 
     def enqueue(self, item: SupervisionItem) -> None:
@@ -232,25 +231,25 @@ class SupervisionWorker:
         items: list[SupervisionItem],
         memo: dict | None = None,
         resilience=None,
+        defer_journal: bool = False,
     ) -> int:
         """Run one popped batch through this worker's supervisors.
 
-        This is the body the parallel runtime ships to a pool thread; it
-        touches only the worker's own supervisors (shard-replica-bound
-        pipelines) and the shared read-only/locked collaborators.
-        Supervisor errors are absorbed per item by :meth:`supervise_item`
-        (quarantine, journal rows buffered for the barrier flush), so a
+        Returns the number of items *handled* (supervised or
+        quarantined); deferred items don't count — they are parked on
+        the controller until the runtime releases them.  Supervisor
+        errors are absorbed per item by :meth:`supervise_item`, so a
         batch only aborts on a simulated crash — in which case the
         unprocessed tail is stashed on :attr:`unprocessed` for the
-        runtime to requeue after the barrier.
+        runtime to requeue.  ``defer_journal`` buffers quarantine rows
+        for the barrier flush; pool threads set it, because the event
+        log is written from the caller's thread only.
         """
         handled = 0
         done = 0
         try:
             for item in items:
-                if self.supervise_item(
-                    server, item, memo, resilience, defer_journal=True
-                ):
+                if self.supervise_item(server, item, memo, resilience, defer_journal):
                     handled += 1
                 done += 1
         except BaseException:
@@ -259,26 +258,3 @@ class SupervisionWorker:
             raise
         self.processed += handled
         return handled
-
-    def drain(
-        self, server, max_items: int, memo: dict | None = None, resilience=None
-    ) -> int:
-        """Process up to ``max_items`` queued items, FIFO.
-
-        ``memo`` is the batch's shared sentence-analysis cache (see
-        :class:`~repro.chatroom.supervisor.SupervisionPipeline`): one
-        drain cycle passes a single dict through every worker, so a
-        sentence posted to many rooms is analysed once and its results
-        fanned out.  Returns the number of items *handled* (supervised
-        or quarantined); deferred items don't count — they are parked
-        on the controller, and counting them would make the runtime's
-        progress loop spin on work it cannot do yet.
-        """
-        done = 0
-        items = self.queue.items
-        while items and done < max_items:
-            item = items.popleft()
-            if self.supervise_item(server, item, memo, resilience):
-                done += 1
-        self.processed += done
-        return done

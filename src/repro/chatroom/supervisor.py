@@ -13,9 +13,10 @@ sentence's handling into a *pure analysis* step and an *apply* step
 analyses of syntactically-correct sentences depend only on static state
 (dictionary, ontology, keyword filter), so a drain batch can compute
 them once per distinct sentence and fan the result out across rooms.
-In the shared-store modes, faulty sentences consult the growing learner
-corpus for suggestions and are therefore always analysed fresh, keeping
-every mode's per-item output identical to the synchronous pipeline's.
+In ``queued`` mode, which writes the shared stores, faulty sentences
+consult the growing learner corpus for suggestions and are therefore
+always analysed fresh, keeping batched output identical to per-post
+supervision.
 
 **Shard-local mode** (:meth:`SupervisionPipeline.fork_shard`): the
 ``parallel`` runtime hands every worker a pipeline twin bound to shard
@@ -184,11 +185,10 @@ class SupervisionPolicy:
 class SupervisionPipeline:
     """Binds the agents, QA system, corpus and profiles to a server.
 
-    One pipeline instance is one worker's supervision state: the heavy
-    collaborators (agents, QA, profiles) are shared, the stats counters
-    are private.  The sharded runtime calls :meth:`clone` once per extra
-    worker; :meth:`combined_stats` merges every clone's counters back
-    into the global view on demand.
+    One pipeline instance is one worker's supervision state.  The
+    ``parallel`` runtime calls :meth:`fork_shard` once per worker;
+    :meth:`combined_stats` merges every fork's counters back into the
+    global view on demand.
     """
 
     def __init__(
@@ -205,7 +205,7 @@ class SupervisionPipeline:
         self.profiles = profiles
         self.policy = policy or SupervisionPolicy()
         self.stats = SupervisionStats()
-        self._clones: list["SupervisionPipeline"] = []
+        self._forks: list["SupervisionPipeline"] = []
         # Shard-local mode (set by fork_shard): replicas + reply outbox.
         self.shard_stores: ShardStores | None = None
         self._reply_n = 0
@@ -216,19 +216,6 @@ class SupervisionPipeline:
 
     # ------------------------------------------------------------ sharding
 
-    def clone(self) -> "SupervisionPipeline":
-        """A per-worker twin: shared agents and stores, fresh stats."""
-        twin = SupervisionPipeline(
-            self.learning_angel,
-            self.semantic_agent,
-            self.qa_system,
-            self.profiles,
-            self.policy,
-        )
-        twin.resilience = self.resilience
-        self._clones.append(twin)
-        return twin
-
     def fork_shard(self) -> tuple["SupervisionPipeline", ShardStores]:
         """A per-worker twin owning private store replicas.
 
@@ -236,8 +223,7 @@ class SupervisionPipeline:
         parse options, keyword filter, ontology, matcher, parse cache)
         but write to forked replicas of the corpus, profile and FAQ
         stores, and buffer agent replies in the returned bundle's
-        outbox.  Stats are private, merged via :meth:`combined_stats`
-        like any clone's.
+        outbox.  Stats are private, merged via :meth:`combined_stats`.
         """
         corpus = self.learning_angel.corpus
         stores = ShardStores(
@@ -255,63 +241,18 @@ class SupervisionPipeline:
         twin.shard_stores = stores
         stores.pipeline = twin
         twin.resilience = self.resilience
-        self._clones.append(twin)
+        self._forks.append(twin)
         return twin, stores
 
-    def process_spec(self):
-        """The pickled construction recipe for a child-process twin.
-
-        Everything a :meth:`fork_shard` twin derives from live objects is
-        reduced to plain data: the dictionary (its pickle surface drops
-        the interned tables, lock and shared parse cache), the ontology,
-        the parse options and policy knobs, and the current base stores.
-        The child rebuilds keyword filter, agents, QA wiring and parse
-        caches from scratch — see
-        :class:`~repro.chatroom.procworker.PipelineProcessSpec`.
-        """
-        from .procworker import PipelineProcessSpec
-
-        angel = self.learning_angel
-        semantic = self.semantic_agent
-        return PipelineProcessSpec(
-            dictionary=angel.analyzer.dictionary,
-            ontology=semantic.ontology,
-            parse_options=angel.options,
-            policy=self.policy,
-            repair=angel.repairer is not None,
-            related_threshold=semantic.evaluator.related_threshold,
-            max_suggestions=semantic.max_suggestions,
-            corpus=angel.corpus,
-            profiles=self.profiles,
-            faq=self.qa_system.faq,
-        )
-
-    def absorb_shard_delta(self, delta) -> int:
-        """Fold one worker's shipped store delta into the live bases.
-
-        The parent-side half of the ``process`` barrier: the delta's
-        :class:`~repro.state.delta.ReplicaDelta` payloads feed the same
-        ``merge()`` implementations :meth:`ShardStores.merge` uses, so
-        the merged state is identical to a thread-pool barrier.  Returns
-        the FAQ *corrections* count — cross-shard duplicate questions
-        that count as hits, credited by the runtime to the originating
-        worker's stats sink exactly as ``ShardStores.merge`` credits the
-        worker twin.
-        """
-        if delta.corpus is not None and self.learning_angel.corpus is not None:
-            self.learning_angel.corpus.merge(delta.corpus)
-        self.profiles.merge(delta.profiles)
-        return self.qa_system.faq.merge(delta.faq)
-
     def combined_stats(self) -> SupervisionStats:
-        """This pipeline's stats merged with every clone's (global view)."""
-        if not self._clones:
+        """This pipeline's stats merged with every fork's (global view)."""
+        if not self._forks:
             return self.stats
-        return SupervisionStats.total([self.stats, *(c.stats for c in self._clones)])
+        return SupervisionStats.total([self.stats, *(f.stats for f in self._forks)])
 
     def worker_stats(self) -> list[SupervisionStats]:
         """Per-worker stats, prototype first (shard load inspection)."""
-        return [self.stats, *(clone.stats for clone in self._clones)]
+        return [self.stats, *(fork.stats for fork in self._forks)]
 
     # ------------------------------------------------------------ pipeline
 
@@ -415,7 +356,7 @@ class SupervisionPipeline:
 
         The memo key carries the identities of the static state a review
         depends on (dictionary, parse options, keyword filter, semantic
-        agent): clones *and shard forks* of one pipeline share entries,
+        agent): shard forks of one pipeline share entries,
         while unrelated pipelines registered on the same server
         (different dictionary or keyword filter) never serve each
         other's analyses.
@@ -593,8 +534,8 @@ class SupervisionPipeline:
 
         Mirrors the sentence-analysis split: the resolution (template
         match + lazy ontology answer) is memoised across the drain
-        batch, keyed by the static matcher identity so pipeline clones
-        and shard forks share entries.  The per-item apply (FAQ lookup
+        batch, keyed by the static matcher identity so shard forks
+        share entries.  The per-item apply (FAQ lookup
         and bump, corpus fallback) runs in the commit phase.
         """
         key = None

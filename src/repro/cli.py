@@ -21,6 +21,7 @@ import argparse
 import sys
 
 from repro.agents import SemanticAgent
+from repro.chatroom.runtime import RUNTIME_MODES
 from repro.linkgrammar import Parser, SentenceRepairer
 from repro.linkgrammar.diagram import render
 from repro.linkgrammar.lexicon import default_dictionary
@@ -85,10 +86,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.corpus import StatisticAnalyzer
     from repro.simulation import ClassroomSession
 
-    workers = args.workers if args.workers is not None else args.shards
     config = SystemConfig(
         runtime_mode=args.runtime,
-        shards=workers,
+        shards=args.shards,
         max_pending=args.max_pending,
         data_dir=args.data_dir,
         fsync=args.fsync,
@@ -103,8 +103,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     finally:
         system.close()  # release the parallel worker pool
     stats = system.stats
-    if args.runtime in ("sharded", "parallel", "process"):
-        print(f"runtime={args.runtime} workers={workers} "
+    if args.runtime == "parallel":
+        print(f"runtime={args.runtime} workers={args.shards} "
               f"worker_messages={system.runtime.worker_loads()}")
     if system.supervision_shed:
         print(f"shed={system.supervision_shed} (max_pending={args.max_pending})")
@@ -136,7 +136,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         budget = DrainBudget(
             max_pending_posts=args.drain_pending, max_interval=args.drain_interval
         )
-    elif args.runtime not in ("inline", "queued"):
+    elif args.runtime == "parallel":
         # A deferred-drain runtime behind a network front door must
         # drain itself — nobody is calling drain() from a socket.
         budget = DrainBudget(max_pending_posts=32, max_interval=8.0)
@@ -297,17 +297,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--runtime",
-        choices=["inline", "queued", "sharded", "parallel", "process"],
+        choices=RUNTIME_MODES,
         default="queued",
         help="supervision scheduling mode (see docs/runtime.md)",
     )
     p.add_argument("--shards", type=int, default=4,
-                   help="shard/worker count for the multi-worker "
-                        "runtimes (sharded, parallel, process)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="alias for --shards (the parallel/process "
-                        "runtimes' natural spelling); wins when both "
-                        "are given")
+                   help="shard/worker count for the parallel runtime")
     p.add_argument("--max-pending", type=int, default=None,
                    help="per-shard supervision queue bound; overloaded "
                         "shards shed their oldest pending message")
@@ -338,18 +333,18 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         "can also be created over HTTP (POST /rooms)")
     p.add_argument(
         "--runtime",
-        choices=["inline", "queued", "sharded", "parallel", "process"],
+        choices=RUNTIME_MODES,
         default="queued",
         help="supervision scheduling mode behind the front door",
     )
     p.add_argument("--shards", type=int, default=4,
-                   help="shard/worker count for the multi-worker runtimes")
+                   help="shard/worker count for the parallel runtime")
     p.add_argument("--drain-pending", type=int, default=None,
                    help="auto-drain once this many supervision items are "
-                        "pending (deferred runtimes default to 32)")
+                        "pending (parallel defaults to 32)")
     p.add_argument("--drain-interval", type=float, default=None,
                    help="auto-drain once this much virtual time passed "
-                        "since the last drain (deferred default: 8.0)")
+                        "since the last drain (parallel default: 8.0)")
     p.add_argument("--data-dir", default=None,
                    help="durable-state directory (write-ahead log + "
                         "snapshots; see docs/durability.md)")

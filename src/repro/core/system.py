@@ -60,18 +60,15 @@ class SystemConfig:
         parse_options: link-grammar parser options.
         related_threshold: semantic distance threshold (section 4.3).
         clock_tick: seconds the clock advances per posted message.
-        runtime_mode: how supervision is scheduled — ``inline``,
-            ``queued`` (default; drain-after-post, byte-identical to
-            inline), ``sharded`` (rooms sharded across workers, agent
-            work drained in deduplicated batches off the posting path)
-            or ``parallel``/``process`` (sharded with shard-local store
-            replicas, drained on a thread pool or on per-shard child
-            processes and merged at barriers — see docs/runtime.md).
-        shards: worker/shard count for the ``sharded``/``parallel``
-            modes.
-        supervision_batch: items per worker per drain pass.
+        runtime_mode: how supervision is scheduled — ``queued``
+            (default; one worker on the shared stores, on the caller's
+            thread) or ``parallel`` (rooms sharded across workers with
+            shard-local store replicas, drained on a thread pool and
+            merged at barriers — see docs/runtime.md).
+        shards: worker/shard count for the ``parallel`` mode.
+        supervision_batch: items per worker per drain cycle.
         auto_drain: drain after every post; None picks the mode default
-            (True for inline/queued, False for sharded/parallel).
+            (True for queued, False for parallel).
         max_pending: per-shard supervision queue bound; an overloaded
             shard sheds its oldest pending item (None = unbounded).
         drain_budget: a :class:`repro.chatroom.DrainBudget` that
@@ -205,8 +202,8 @@ class ELearningSystem:
         self._closed = False
         self.bus = EventBus()
         # Fault tolerance (docs/resilience.md): one controller shared by
-        # the runtime (admission, quarantine) and every pipeline
-        # clone/fork (stage guards).
+        # the runtime (admission, quarantine) and every pipeline and
+        # shard fork (stage guards).
         self.resilience = ResilienceController(
             retry=self.config.retry,
             breaker=self.config.breaker,
@@ -242,7 +239,7 @@ class ELearningSystem:
             self.profiles,
             self.config.policy,
         )
-        # Must be set before add_supervisor: clones/forks inherit it.
+        # Must be set before add_supervisor: shard forks inherit it.
         self.pipeline.resilience = self.resilience
         self.server.add_supervisor(self.pipeline)
 
@@ -362,8 +359,8 @@ class ELearningSystem:
         """Post a user message.
 
         In the default runtime modes supervision has already run by the
-        time this returns; under a deferred-drain runtime (``sharded``,
-        ``parallel``, ``process``, or ``auto_drain=False``) call
+        time this returns; under a deferred-drain runtime (``parallel``,
+        or ``auto_drain=False``) call
         :meth:`drain` to flush the queued agent work — or set
         ``SystemConfig.drain_budget`` and the system drains itself here
         whenever the backlog or the virtual time since the last drain

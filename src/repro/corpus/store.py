@@ -459,17 +459,3 @@ class CorpusReplica:
         except AttributeError:
             raise AttributeError(name) from None
         return getattr(base, name)
-
-    def __getstate__(self) -> dict:
-        """Explicit pickle surface: the slots, nothing implicit.
-
-        The base store travels with the replica — a replica is only
-        meaningful against its fork-point snapshot — and everything in
-        the slot set is plain data (the corpus holds no locks or caches
-        that cannot cross a process).
-        """
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            object.__setattr__(self, name, value)

@@ -3,7 +3,7 @@
 ``python -m repro bench`` (or ``make bench``) runs a fixed set of
 workloads — cold parsing, cached parsing, the mixed-traffic supervision
 loop, a seeded classroom session, suggestion search, raw post latency,
-the multi-room sharded-runtime scale test, the parallel
+the multi-room batched-drain scale test, the parallel
 (shard-replica) drain test, the corpus-scale retrieval test (10k vs
 250k records, stopword-heavy queries), the durability recovery test
 (WAL replay rate, snapshot-recover wall clock), the resilience test
@@ -26,6 +26,7 @@ statistically careful counterpart.
 
 from __future__ import annotations
 
+import gc
 import json
 import platform
 import time
@@ -169,6 +170,10 @@ def bench_post_latency(messages: int = 2000) -> dict[str, float]:
     for i in range(8):  # warmup (room structures, tokenizer)
         system.say("lat", "u", MIXED_MESSAGES[i % len(MIXED_MESSAGES)])
     system.drain()
+    # The timed loop lasts ~10 ms; a full collection of garbage left by
+    # earlier workloads costs ~100 ms and would otherwise land in it
+    # whenever the collector's thresholds happen to line up.
+    gc.collect()
     start = time.perf_counter()
     for i in range(messages):
         system.say("lat", "u", MIXED_MESSAGES[i % len(MIXED_MESSAGES)])
@@ -182,57 +187,63 @@ def bench_post_latency(messages: int = 2000) -> dict[str, float]:
     }
 
 
-def bench_multi_room_scale(rooms: int = 16, rounds: int = 12, shards: int = 4) -> dict:
-    """Sharded-runtime throughput vs the synchronous pipeline, same load.
+def _warm_rooms_system(config: "SystemConfig", rooms: int, messages: list[str]):
+    """A system with ``rooms`` one-learner rooms and every message posted
+    through every room once, drained per message, untimed.
+
+    The warm-up makes timed runs measure steady state: the parse cache
+    is shared process-wide (one lru_cached default dictionary), and a
+    partial warm-up would bill the first system for cold parses and the
+    repairer's candidate search while the second rides the warmed store.
+    """
+    from repro.core.system import ELearningSystem
+
+    system = ELearningSystem.with_defaults(config)
+    for index in range(rooms):
+        system.open_room(f"room-{index}", topic="t")
+        system.join(f"room-{index}", "u")
+    for text in messages:
+        for index in range(rooms):
+            system.say(f"room-{index}", "u", text)
+        system.drain()
+    return system
+
+
+def _round_robin_rate(system, rooms: int, rounds: int, messages: list[str]) -> float:
+    """Messages/sec posting one message to every room per round and
+    draining after each round (a no-op under auto-drain)."""
+    start = time.perf_counter()
+    for i in range(rounds):
+        text = messages[i % len(messages)]
+        for index in range(rooms):
+            system.say(f"room-{index}", "u", text)
+        system.drain()
+    return rooms * rounds / (time.perf_counter() - start)
+
+
+def bench_multi_room_scale(rooms: int = 16, rounds: int = 12) -> dict:
+    """Batched-drain throughput vs per-post supervision, same load.
 
     The workload posts the mixed-traffic messages round-robin across
     ``rooms`` rooms — the template-heavy shape of a real class cohort —
-    once through the inline (PR 1 synchronous) runtime and once through
-    the sharded runtime draining a deduplicated batch per round.  Both
-    figures land in the report, plus the shared parse-cache counters
-    (the cross-parser store the drain batches lean on).
+    once through the default ``queued`` runtime (supervised after every
+    post) and once through ``queued`` with ``auto_drain=False``,
+    draining a deduplicated batch per round.  Both figures land in the
+    report, plus the shared parse-cache counters (the cross-parser store
+    the drain batches lean on).
     """
-    from repro.core.system import ELearningSystem, SystemConfig
+    from repro.core.system import SystemConfig
 
-    def build(config: "SystemConfig") -> "ELearningSystem":
-        system = ELearningSystem.with_defaults(config)
-        for index in range(rooms):
-            system.open_room(f"room-{index}", topic="t")
-            system.join(f"room-{index}", "u")
-        # Warm every message template through every room so both timed
-        # runs measure steady state: the parse cache is shared process-
-        # wide (one lru_cached default dictionary), and a partial warmup
-        # would bill the first system for cold parses and the repairer's
-        # candidate search while the second rides the warmed store.
-        for text in MIXED_MESSAGES:
-            for index in range(rooms):
-                system.say(f"room-{index}", "u", text)
-        system.drain()
-        return system
-
-    def run(system: "ELearningSystem", drain_per_round: bool) -> float:
-        posted = 0
-        start = time.perf_counter()
-        for i in range(rounds):
-            text = MIXED_MESSAGES[i % len(MIXED_MESSAGES)]
-            for index in range(rooms):
-                system.say(f"room-{index}", "u", text)
-                posted += 1
-            if drain_per_round:
-                system.drain()
-        system.drain()
-        return posted / (time.perf_counter() - start)
-
-    sync_system = build(SystemConfig(runtime_mode="inline"))
-    sync_rate = run(sync_system, drain_per_round=False)
-    sharded_system = build(
-        SystemConfig(runtime_mode="sharded", shards=shards)
+    sync_system = _warm_rooms_system(SystemConfig(), rooms, MIXED_MESSAGES)
+    sync_rate = _round_robin_rate(sync_system, rooms, rounds, MIXED_MESSAGES)
+    batched_system = _warm_rooms_system(
+        SystemConfig(auto_drain=False), rooms, MIXED_MESSAGES
     )
-    store = sharded_system.dictionary.shared_cache_store()
+    store = batched_system.dictionary.shared_cache_store()
     before = store.info()
-    sharded_rate = run(sharded_system, drain_per_round=True)
+    batched_rate = _round_robin_rate(batched_system, rooms, rounds, MIXED_MESSAGES)
     after = store.info()
-    # hits/misses are deltas over the sharded timed run (the store is
+    # hits/misses are deltas over the batched timed run (the store is
     # process-wide, so absolute counters would aggregate every prior
     # workload); entry counts are absolute.
     cache_info = {
@@ -245,12 +256,10 @@ def bench_multi_room_scale(rooms: int = 16, rounds: int = 12, shards: int = 4) -
     return {
         "rooms": rooms,
         "rounds": rounds,
-        "shards": shards,
         "messages": rooms * rounds,
         "sync_messages_per_sec": sync_rate,
-        "sharded_messages_per_sec": sharded_rate,
-        "sharded_speedup_vs_sync": round(sharded_rate / sync_rate, 2),
-        "worker_messages": sharded_system.runtime.worker_loads(),
+        "batched_messages_per_sec": batched_rate,
+        "batched_speedup_vs_sync": round(batched_rate / sync_rate, 2),
         "shared_cache": cache_info,
     }
 
@@ -259,9 +268,9 @@ def bench_multi_room_scale(rooms: int = 16, rounds: int = 12, shards: int = 4) -
 #: the templates are genuinely faulty (word salad, agreement errors,
 #: semantic misuse), the shape of a novice cohort.  Faulty sentences are
 #: the expensive ones — repair parsing plus a corpus-dependent
-#: suggestion search — and the shared-store drain modes must re-run them
-#: per room, which is exactly the cost the snapshot-isolated ``parallel``
-#: mode removes.
+#: suggestion search — and the shared-store ``queued`` drain must re-run
+#: them per room, which is exactly the cost the snapshot-isolated
+#: ``parallel`` mode removes.
 ERROR_HEAVY_MESSAGES = [
     "We push an element onto the stack.",
     "stack the holds data quickly the.",
@@ -275,124 +284,44 @@ ERROR_HEAVY_MESSAGES = [
 
 
 def bench_parallel_drain(rooms: int = 16, rounds: int = 12, workers: int = 4) -> dict:
-    """Shard-replica (``parallel``) drain throughput vs the cooperative
-    ``sharded`` drain, same rooms, same error-heavy traffic, same worker
-    count.
+    """Shard-replica (``parallel``) drain throughput vs the serial
+    batched drain, same rooms, same error-heavy traffic.
 
-    Both systems shard 16 rooms across 4 workers and drain once per
-    posted round.  The ``sharded`` mode's workers share the corpus, so a
-    faulty sentence (whose repair and suggestion search read the live
-    corpus) must be re-analysed for every room it was posted to.  The
+    Both systems drain once per posted round: ``queued`` with
+    ``auto_drain=False`` on one worker, ``parallel`` with ``workers``
+    shards.  The ``queued`` drain writes the shared corpus, so a faulty
+    sentence (whose repair and suggestion search read the live corpus)
+    must be re-analysed for every room it was posted to.  The
     ``parallel`` mode freezes each drain cycle against the barrier
     snapshot: its shared memo legitimately dedups *every* repeated
     sentence — faulty ones included — and its workers run on a thread
     pool (real core parallelism on free-threaded builds).  The merged
-    state is asserted equal to the cooperative modes by
-    ``tests/chatroom/test_parallel_runtime.py``; this workload prices
-    the difference.
+    state is asserted equal to the serial drain by
+    ``tests/chatroom/test_runtime_parity.py``; this workload prices the
+    difference.  The traffic is eight templates repeated across rooms,
+    the case the memo dedup serves; on diverse traffic it does not pay
+    (see docs/runtime.md).
     """
-    from repro.core.system import ELearningSystem, SystemConfig
+    from repro.core.system import SystemConfig
 
-    def build(config: "SystemConfig") -> "ELearningSystem":
-        system = ELearningSystem.with_defaults(config)
-        for index in range(rooms):
-            system.open_room(f"room-{index}", topic="t")
-            system.join(f"room-{index}", "u")
-        # Same steady-state discipline as multi_room_scale: warm every
-        # template through every room so neither timed run bills cold
-        # parses against the process-wide shared cache store.
-        for text in ERROR_HEAVY_MESSAGES:
-            for index in range(rooms):
-                system.say(f"room-{index}", "u", text)
-            system.drain()
-        return system
-
-    def run(system: "ELearningSystem") -> float:
-        posted = 0
-        start = time.perf_counter()
-        for i in range(rounds):
-            text = ERROR_HEAVY_MESSAGES[i % len(ERROR_HEAVY_MESSAGES)]
-            for index in range(rooms):
-                system.say(f"room-{index}", "u", text)
-                posted += 1
-            system.drain()
-        return posted / (time.perf_counter() - start)
-
-    sharded_system = build(SystemConfig(runtime_mode="sharded", shards=workers))
-    sharded_rate = run(sharded_system)
-    with build(SystemConfig(runtime_mode="parallel", shards=workers)) as parallel_system:
-        parallel_rate = run(parallel_system)
+    batched_system = _warm_rooms_system(
+        SystemConfig(auto_drain=False), rooms, ERROR_HEAVY_MESSAGES
+    )
+    batched_rate = _round_robin_rate(batched_system, rooms, rounds, ERROR_HEAVY_MESSAGES)
+    config = SystemConfig(runtime_mode="parallel", shards=workers)
+    with _warm_rooms_system(config, rooms, ERROR_HEAVY_MESSAGES) as parallel_system:
+        parallel_rate = _round_robin_rate(
+            parallel_system, rooms, rounds, ERROR_HEAVY_MESSAGES
+        )
         worker_messages = parallel_system.runtime.worker_loads()
     return {
         "rooms": rooms,
         "rounds": rounds,
         "workers": workers,
         "messages": rooms * rounds,
-        "sharded_messages_per_sec": sharded_rate,
+        "batched_messages_per_sec": batched_rate,
         "parallel_messages_per_sec": parallel_rate,
-        "parallel_speedup_vs_sharded": round(parallel_rate / sharded_rate, 2),
-        "worker_messages": worker_messages,
-    }
-
-
-def bench_process_drain(rooms: int = 16, rounds: int = 12, workers: int = 2) -> dict:
-    """Child-process (``process``) drain throughput vs the thread-pool
-    ``parallel`` drain, same rooms, same error-heavy traffic, same
-    worker count.
-
-    Both modes run the identical barrier-cycle protocol; the variable
-    is where the cycle executes.  ``parallel`` pays the GIL (its pool
-    threads serialize all Python-level analysis work); ``process`` pays
-    the boundary instead — pickling the per-cycle batch and merged-delta
-    both ways — and buys real core parallelism.  On a single-core host
-    the boundary tax is all loss, so the report records ``cores``: the
-    schema gate only expects a process speedup when the machine can
-    actually provide one (>= 2 cores).  Merged-state parity with the
-    cooperative modes is asserted by
-    ``tests/chatroom/test_process_runtime.py``; this workload prices
-    the IPC amortisation (children warm once; per cycle only batches
-    and deltas cross).
-    """
-    import os
-
-    from repro.core.system import ELearningSystem, SystemConfig
-
-    def build(config: "SystemConfig") -> "ELearningSystem":
-        system = ELearningSystem.with_defaults(config)
-        for index in range(rooms):
-            system.open_room(f"room-{index}", topic="t")
-            system.join(f"room-{index}", "u")
-        for text in ERROR_HEAVY_MESSAGES:
-            for index in range(rooms):
-                system.say(f"room-{index}", "u", text)
-            system.drain()
-        return system
-
-    def run(system: "ELearningSystem") -> float:
-        posted = 0
-        start = time.perf_counter()
-        for i in range(rounds):
-            text = ERROR_HEAVY_MESSAGES[i % len(ERROR_HEAVY_MESSAGES)]
-            for index in range(rooms):
-                system.say(f"room-{index}", "u", text)
-                posted += 1
-            system.drain()
-        return posted / (time.perf_counter() - start)
-
-    with build(SystemConfig(runtime_mode="parallel", shards=workers)) as thread_system:
-        thread_rate = run(thread_system)
-    with build(SystemConfig(runtime_mode="process", shards=workers)) as process_system:
-        process_rate = run(process_system)
-        worker_messages = process_system.runtime.worker_loads()
-    return {
-        "rooms": rooms,
-        "rounds": rounds,
-        "workers": workers,
-        "cores": os.cpu_count() or 1,
-        "messages": rooms * rounds,
-        "thread_messages_per_sec": thread_rate,
-        "process_messages_per_sec": process_rate,
-        "process_speedup_vs_thread": round(process_rate / thread_rate, 2),
+        "parallel_speedup_vs_batched": round(parallel_rate / batched_rate, 2),
         "worker_messages": worker_messages,
     }
 
@@ -929,7 +858,6 @@ def run_report(quick: bool = False) -> dict:
             "post_latency": bench_post_latency(messages=n(2000)),
             "multi_room_scale": bench_multi_room_scale(rounds=max(2, n(12))),
             "parallel_drain": bench_parallel_drain(rounds=max(2, n(12))),
-            "process_drain": bench_process_drain(rounds=max(2, n(12))),
             "corpus_scale": bench_corpus_scale(
                 records_small=n(10_000), records_large=n(250_000)
             ),
@@ -956,29 +884,19 @@ REQUIRED_WORKLOAD_METRICS: dict[str, tuple[str, ...]] = {
     "post_latency": ("ms_per_post", "messages", "pending_after"),
     "multi_room_scale": (
         "rooms",
-        "shards",
         "messages",
         "sync_messages_per_sec",
-        "sharded_messages_per_sec",
-        "sharded_speedup_vs_sync",
+        "batched_messages_per_sec",
+        "batched_speedup_vs_sync",
         "shared_cache",
     ),
     "parallel_drain": (
         "rooms",
         "workers",
         "messages",
-        "sharded_messages_per_sec",
+        "batched_messages_per_sec",
         "parallel_messages_per_sec",
-        "parallel_speedup_vs_sharded",
-    ),
-    "process_drain": (
-        "rooms",
-        "workers",
-        "cores",
-        "messages",
-        "thread_messages_per_sec",
-        "process_messages_per_sec",
-        "process_speedup_vs_thread",
+        "parallel_speedup_vs_batched",
     ),
     "corpus_scale": (
         "records_small",
@@ -1040,7 +958,6 @@ _POST_SEED_WORKLOADS = frozenset(
         "post_latency",
         "multi_room_scale",
         "parallel_drain",
-        "process_drain",
         "corpus_scale",
         "corpus_memory",
         "recovery",

@@ -41,7 +41,14 @@ class DistanceVerdict:
 
 
 class SemanticDistanceEvaluator:
-    """Evaluates keyword pairs against an ontology snapshot."""
+    """Evaluates keyword pairs against the ontology's current state.
+
+    Distances come from :attr:`graph`, an :class:`OntologyGraph`
+    snapshot.  Every query first compares the ontology's
+    :attr:`~repro.ontology.model.Ontology.generation` with the one the
+    snapshot was taken at and rebuilds the graph after an edit, so
+    distances never lag behind the capability answers.
+    """
 
     def __init__(
         self,
@@ -50,7 +57,18 @@ class SemanticDistanceEvaluator:
     ) -> None:
         self.ontology = ontology
         self.related_threshold = related_threshold
+        self._graph_generation = ontology.generation
         self.graph = OntologyGraph(ontology)
+
+    def _current_graph(self) -> OntologyGraph:
+        generation = self.ontology.generation
+        if generation == self._graph_generation:
+            return self.graph
+        # Publish the graph before its generation: a concurrent reader
+        # that sees the new generation must also see the new graph.
+        graph = self.graph = OntologyGraph(self.ontology)
+        self._graph_generation = generation
+        return graph
 
     # ------------------------------------------------------------ queries
 
@@ -58,7 +76,7 @@ class SemanticDistanceEvaluator:
         """Weighted ontology distance between two items."""
         a = self.ontology.resolve(left).item_id
         b = self.ontology.resolve(right).item_id
-        return self.graph.distance(a, b)
+        return self._current_graph().distance(a, b)
 
     def evaluate_pair(self, left: int | str, right: int | str) -> DistanceVerdict:
         """Judge one keyword pair, with capability logic for operations.
@@ -70,7 +88,7 @@ class SemanticDistanceEvaluator:
         """
         left_item = self.ontology.resolve(left)
         right_item = self.ontology.resolve(right)
-        dist = self.graph.distance(left_item.item_id, right_item.item_id)
+        dist = self._current_graph().distance(left_item.item_id, right_item.item_id)
 
         def verdict(related: bool, capability: bool | None) -> DistanceVerdict:
             return DistanceVerdict(
@@ -116,7 +134,7 @@ class SemanticDistanceEvaluator:
         if near is None:
             return sorted(candidates, key=lambda item: item.name)
         anchor = self.ontology.resolve(near).item_id
-        distances = self.graph.distances_from(anchor)
+        distances = self._current_graph().distances_from(anchor)
 
         def sort_key(item: Item) -> tuple[float, str]:
             return (distances.get(item.item_id, INFINITY), item.name)
@@ -133,7 +151,7 @@ class SemanticDistanceEvaluator:
     def nearest_items(self, key: int | str, limit: int = 5) -> list[tuple[Item, float]]:
         """The ``limit`` closest items to ``key`` (excluding itself)."""
         anchor = self.ontology.resolve(key).item_id
-        distances = self.graph.distances_from(anchor)
+        distances = self._current_graph().distances_from(anchor)
         ranked = sorted(
             ((self.ontology.get(node), dist) for node, dist in distances.items() if node != anchor),
             key=lambda pair: (pair[1], pair[0].name),

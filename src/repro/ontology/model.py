@@ -168,13 +168,6 @@ class Ontology:
         self._generation = 0
         self._memos = _Memos(0)
 
-    def __getstate__(self) -> dict:
-        """Pickle the items, relations and indexes but not the memos;
-        the receiving side rebuilds them lazily on first query."""
-        state = self.__dict__.copy()
-        state["_memos"] = _Memos(self._generation)
-        return state
-
     @property
     def generation(self) -> int:
         """Counter bumped by every :meth:`add_item` and every

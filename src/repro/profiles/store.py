@@ -301,11 +301,3 @@ class ProfileReplica:
         except AttributeError:
             raise AttributeError(name) from None
         return getattr(base, name)
-
-    def __getstate__(self) -> dict:
-        """Explicit pickle surface: the slots, nothing implicit."""
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            object.__setattr__(self, name, value)

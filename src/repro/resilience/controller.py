@@ -1,7 +1,7 @@
 """The resilience controller: guards, admission, quarantine, backfill.
 
 One :class:`ResilienceController` is shared by a runtime and every
-pipeline clone/shard-fork it dispatches to.  It owns four concerns:
+pipeline and shard fork it dispatches to.  It owns four concerns:
 
 **Stage guards** (:meth:`guard`): each *pure* pipeline stage call —
 parser analysis, semantic review, QA resolution — runs under seeded
@@ -84,16 +84,6 @@ class ResilienceCounters:
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(ResilienceCounters)}
-
-    def absorb(self, other: "ResilienceCounters") -> None:
-        """Fold another counter set into this one, field-wise.
-
-        Process-mode workers run their own controller and ship per-cycle
-        counter *deltas* back at the barrier; every field here is
-        additive (the child resets its backoff clock per cycle so even
-        the virtual-time floats arrive as increments)."""
-        for f in fields(ResilienceCounters):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 class ResilienceController:
@@ -222,31 +212,8 @@ class ResilienceController:
                 return
         self.journal.item_quarantined(row.to_dict())
 
-    def absorb_worker_results(self, rows, counters=None) -> None:
-        """Fold one child-process cycle's failure results into this
-        controller (barrier, caller's thread).
-
-        A ``process``-mode worker dead-letters raising items into its
-        *own* child-side controller; the rows cross the process boundary
-        in the cycle result and land here.  The shipped ``counters``
-        delta already accounts for them (``quarantined`` was bumped
-        child-side), so rows are added without re-counting; journal rows
-        buffer for the next :meth:`flush_journal`, exactly like the
-        thread-pool ``defer_journal`` path.
-        """
-        with self._lock:
-            for row in rows:
-                self.deferred.pop(row.seq, None)
-                self.quarantine.add(row)
-            if counters is not None:
-                self.counters.absorb(counters)
-            else:
-                self.counters.quarantined += len(rows)
-            if self.journal is not None:
-                self._journal_buffer.extend(rows)
-
     def flush_journal(self) -> None:
-        """Journal parallel-mode quarantines (barrier, caller thread)."""
+        """Journal pool-thread quarantines (barrier, caller thread)."""
         with self._lock:
             rows, self._journal_buffer = self._journal_buffer, []
         if self.journal is None:

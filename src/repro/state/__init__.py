@@ -7,13 +7,10 @@ merging the replicas back at drain barriers — the same shape PR 2 gave
 implement; see :mod:`repro.state.mergeable`.
 """
 
-from .delta import ReplicaDelta, delta_of
 from .mergeable import MergeableStore, StoreReplica, snapshots_equal
 
 __all__ = [
     "MergeableStore",
-    "ReplicaDelta",
     "StoreReplica",
-    "delta_of",
     "snapshots_equal",
 ]

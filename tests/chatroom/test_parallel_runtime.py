@@ -1,156 +1,47 @@
-"""Merge-determinism parity suite for the ``parallel`` runtime.
+"""The ``parallel`` runtime's scheduling, backpressure and lifecycle.
 
-The acceptance gate of the shard-local-state PR:
+Merged-state parity with the serial replay lives in
+``test_runtime_parity.py``; this suite pins what only the thread-pool
+executor has to get right:
 
-* ``parallel`` (N workers on a thread pool, private corpus/profile/FAQ
-  replicas, barrier merge) must produce merged corpus, profiles, FAQ
-  and stats **bit-identical** to the ``queued`` deferred-drain pipeline
-  on the same seeded workload and drain schedule — whatever the drain
-  cadence or worker count;
-* transcripts are bit-identical too, except for the one documented
-  snapshot-isolation freedom: a faulty sentence's *suggestion reply
-  text* may quote the barrier snapshot's best model sentence instead of
-  one recorded earlier in the same batch (with single-item batches the
-  transcripts are fully identical);
-* results must be deterministic across repeated runs and worker counts
+* results are deterministic across repeated runs and worker counts
   (thread scheduling must not leak into outcomes);
-* backpressure must shed oldest-first, count what it shed, and surface
-  the counts through the runtime.
+* posting defers supervision, replies flush in post order and plain
+  observers run at the barrier;
+* backpressure sheds oldest-first, counts what it shed, and surfaces the
+  counts through the runtime;
+* a crash in one shard's batch lets the sibling batches finish first;
+* a :class:`DrainBudget` drains a deferred system from ``say()`` alone,
+  and closing a system drains its backlog and releases the pool.
 """
 
 from __future__ import annotations
 
+import zlib
+
 import pytest
 
-from repro.chatroom import MessageKind, Role, SupervisionRuntime
+from repro.chatroom import (
+    ChatServer,
+    DrainBudget,
+    MessageKind,
+    Role,
+    SupervisionRuntime,
+    SupervisionStats,
+    shard_of,
+)
 from repro.core.system import ELearningSystem, SystemConfig
-from repro.ontology.domains import default_ontology
-from repro.simulation import ErrorInjector, SentenceGenerator
 
-ROOMS = ("algebra", "data-structures", "queues-101", "trees-201", "lists-5")
-
-
-def scripted_messages(count: int = 8) -> list[tuple[str, str, str]]:
-    """Deterministic (room, user, text) traffic with every kind mixed in:
-    fan-out duplicates (the dedup path), questions, syntax errors,
-    semantic violations and seeded generator chatter."""
-    messages: list[tuple[str, str, str]] = []
-    fixed = [
-        "We push an element onto the stack.",
-        "What is a queue?",
-        "The tree doesn't have pop method.",
-        "I push the data into a tree.",
-        "stack the holds data quickly the.",
-        "Thanks. What is Stack?",
-        "The stacks is full.",
-    ]
-    for text in fixed:
-        for room in ROOMS:
-            messages.append((room, f"{room}-kid", text))
-    generator = SentenceGenerator(default_ontology(), seed=13)
-    injector = ErrorInjector(seed=13)
-    for index in range(count):
-        room = ROOMS[index % len(ROOMS)]
-        correct = generator.correct_statement().text
-        messages.append((room, f"{room}-kid", correct))
-        messages.append((room, f"{room}-kid", injector.inject_random(correct).text))
-        messages.append((room, f"{room}-kid", generator.question().text))
-    return messages
-
-
-def run_workload(config: SystemConfig, drain_every: int | None) -> ELearningSystem:
-    system = ELearningSystem.with_defaults(config)
-    for room in ROOMS:
-        system.open_room(room, topic="t")
-        system.join(room, f"{room}-kid")
-        system.join(room, "prof", Role.TEACHER)
-    for index, (room, user, text) in enumerate(scripted_messages()):
-        system.say(room, user, text)
-        if index % 11 == 0:
-            system.say(room, "prof", "Good question.")
-        if drain_every is not None and (index + 1) % drain_every == 0:
-            system.drain()
-    system.drain()
-    return system
-
-
-def full_state(system: ELearningSystem) -> dict:
-    """Every durable surface, canonically ordered, bit-comparable."""
-    return {
-        "corpus": system.corpus.snapshot(),
-        "profiles": system.profiles.snapshot(),
-        "faq": system.faq.snapshot(),
-        "stats": system.stats,
-        "transcripts": {
-            room: [
-                (m.seq, m.sender, m.kind.value, m.text, m.timestamp, m.reply_to)
-                for m in system.server.get_room(room).transcript
-            ]
-            for room in ROOMS
-        },
-    }
+from test_runtime_parity import ROOMS, full_state, run_workload, scripted_messages
 
 
 def parallel_config(workers: int) -> SystemConfig:
     return SystemConfig(runtime_mode="parallel", shards=workers)
 
 
-SUGGESTION_PREFIX = "A similar correct sentence: "
-
-
-def assert_transcripts_match(parallel: dict, queued: dict) -> None:
-    """Transcripts must be bit-identical except suggestion reply text.
-
-    Snapshot isolation lets a batched ``parallel`` drain quote a model
-    sentence from the barrier snapshot where ``queued`` quotes one
-    recorded earlier in the same batch; everything else — seqs, senders,
-    kinds, timestamps, reply threading, every other reply text — must
-    match exactly.
-    """
-    assert parallel.keys() == queued.keys()
-    for room in queued:
-        assert len(parallel[room]) == len(queued[room]), room
-        for got, want in zip(parallel[room], queued[room]):
-            if got == want:
-                continue
-            seq, sender, kind, got_text, timestamp, reply_to = got
-            assert (seq, sender, kind, timestamp, reply_to) == (
-                want[0], want[1], want[2], want[4], want[5]
-            ), (got, want)
-            assert got_text.startswith(SUGGESTION_PREFIX), (got, want)
-            assert want[3].startswith(SUGGESTION_PREFIX), (got, want)
-
-
-@pytest.fixture(scope="module")
-def queued_states() -> dict:
-    """Queued-runtime reference states, one per drain schedule."""
-    return {
-        drain_every: full_state(
-            run_workload(SystemConfig(runtime_mode="queued", auto_drain=False), drain_every)
-        )
-        for drain_every in (1, 7, None)
-    }
-
-
-class TestMergedStateEqualsQueued:
-    """parallel == queued, bit for bit, on every drain schedule."""
-
-    @pytest.mark.parametrize("drain_every", [1, 7, None])
-    def test_merged_stores_and_stats_bit_identical(self, queued_states, drain_every):
-        parallel = full_state(run_workload(parallel_config(3), drain_every))
-        reference = queued_states[drain_every]
-        for surface in ("corpus", "profiles", "faq", "stats"):
-            assert parallel[surface] == reference[surface], surface
-        assert_transcripts_match(parallel["transcripts"], reference["transcripts"])
-
-    def test_single_item_batches_are_fully_byte_identical(self, queued_states):
-        parallel = full_state(run_workload(parallel_config(3), 1))
-        assert parallel == queued_states[1]  # transcripts included
-
-    def test_worker_count_does_not_change_merged_state(self, queued_states):
+class TestDeterminism:
+    def test_worker_count_does_not_change_merged_state(self):
         reference = full_state(run_workload(parallel_config(1), 7))
-        for surface in ("corpus", "profiles", "faq", "stats"):
-            assert reference[surface] == queued_states[7][surface], surface
         for workers in (2, 5):
             parallel = full_state(run_workload(parallel_config(workers), 7))
             assert parallel == reference, f"workers={workers}"
@@ -203,6 +94,24 @@ class TestParallelScheduling:
         assert len({m.reply_to for m in replies}) == len(posted)  # all replied-to
         assert targets == sorted(targets)
 
+    def test_stats_merge_equals_worker_sum(self):
+        system = run_workload(parallel_config(3), 5)
+        per_worker = system.pipeline.worker_stats()
+        assert len(per_worker) == 4  # the prototype (idle) + 3 shard forks
+        assert per_worker[0] == SupervisionStats()
+        assert system.stats == SupervisionStats.total(per_worker)
+        system.close()
+
+    def test_rooms_route_to_fixed_shards(self):
+        for room in ROOMS:
+            expected = shard_of(room, 3)
+            assert 0 <= expected < 3
+            # Stable across calls and processes (CRC-32, not hash()).
+            assert shard_of(room, 3) == expected
+        assert [shard_of(room, 3) for room in ROOMS] == [
+            zlib.crc32(room.encode("utf-8")) % 3 for room in ROOMS
+        ]
+
     def test_worker_loads_cover_every_user_message(self):
         system = run_workload(parallel_config(4), 6)
         user_messages = sum(
@@ -222,8 +131,6 @@ class TestParallelScheduling:
                 self.seqs.append(message.seq)
 
         runtime = SupervisionRuntime(mode="parallel", shards=3)
-        from repro.chatroom import ChatServer
-
         server = ChatServer(runtime=runtime)
         spy = Spy()
         server.add_supervisor(spy)
@@ -310,58 +217,119 @@ class TestRuntimeConstruction:
 
 
 class TestFailureIsolation:
-    """A supervisor error mid-batch must cost exactly the failing item:
-    it dead-letters into the quarantine store (with the captured error)
-    and the rest of the batch is supervised in the same drain.  This is
-    the regression test for the old behaviour, where the raising item
-    itself was silently *lost* — the batch aborted, only the tail after
-    it was requeued, and nothing recorded which message went down."""
+    """A simulated crash in one shard's batch aborts the cycle, but only
+    after every sibling batch has finished: re-raising early would let a
+    retried drain hand a replica to the pool while its old thread still
+    writes it.  (The per-item failure contract both executors share is
+    in ``test_drain_loop.py``.)"""
 
-    class _FailingSupervisor:
-        def __init__(self):
-            self.seen: list[str] = []
+    def test_crash_lets_sibling_batches_finish_before_reraising(self):
+        from repro.durability import SimulatedCrash
 
-        def fork_shard(self):
-            outer = self
+        from test_drain_loop import Recorder
 
-            class Stores:
-                def merge(self):
-                    pass
-
-                def rebase(self):
-                    pass
-
-                def take_replies(self):
-                    return []
-
-            class Fork:
-                def on_item(self, server, item, memo=None):
-                    if "boom" in item.message.text:
-                        raise RuntimeError("supervisor blew up")
-                    outer.seen.append(item.message.text)
-
-            return Fork(), Stores()
-
-    def test_failed_item_dead_letters_and_batch_continues(self):
-        from repro.chatroom import ChatServer
-
-        runtime = SupervisionRuntime(mode="parallel", shards=1)
+        runtime = SupervisionRuntime(mode="parallel", shards=3)
         server = ChatServer(runtime=runtime)
-        supervisor = self._FailingSupervisor()
-        server.add_supervisor(supervisor)
-        server.create_room("r")
-        server.join("r", "u")
-        posted = {}
-        for text in ("alpha", "boom", "gamma", "delta"):
-            posted[text] = server.post("r", "u", text)
-        server.drain_supervision()  # no raise: the drain survives
-        # boom dead-lettered, every other item supervised this drain.
-        assert supervisor.seen == ["alpha", "gamma", "delta"]
-        assert runtime.pending == 0
-        quarantine = runtime.resilience.quarantine
-        assert len(quarantine) == 1
-        row = quarantine.get(posted["boom"].seq)
-        assert row is not None
-        assert row.text == "boom"
-        assert "supervisor blew up" in row.error
-        runtime.close()
+        recorder = Recorder()
+        server.add_supervisor(recorder)
+        crashing, healthy = "a", next(
+            room for room in "bcdefgh" if shard_of(room, 3) != shard_of("a", 3)
+        )
+        for room in (crashing, healthy):
+            server.create_room(room)
+            server.join(room, "u")
+        for text in ("crash", "tail 1", "tail 2"):
+            server.post(crashing, "u", text)
+        for text in ("x", "y", "z"):
+            server.post(healthy, "u", f"{healthy} {text}")
+        try:
+            with pytest.raises(SimulatedCrash):
+                server.drain_supervision()
+            # The sibling shard's whole batch ran; the crashed shard's
+            # tail waits at the front of its queue.
+            assert sorted(recorder.seen) == [f"{healthy} {t}" for t in ("x", "y", "z")]
+            assert runtime.pending == 2
+            assert server.drain_supervision() == 2
+            assert recorder.seen[-2:] == ["tail 1", "tail 2"]
+        finally:
+            runtime.close()
+
+
+class TestDrainBudget:
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            DrainBudget(max_pending_posts=0)
+        with pytest.raises(ValueError):
+            DrainBudget(max_interval=0.0)
+
+    def test_due_triggers(self):
+        budget = DrainBudget(max_pending_posts=3, max_interval=10.0)
+        assert not budget.due(2, 9.0)
+        assert budget.due(3, 0.0)   # post-count trigger
+        assert budget.due(0, 10.0)  # interval trigger
+        assert not DrainBudget().due(10_000, 10_000.0)  # no trigger armed
+
+    @pytest.mark.parametrize(
+        "budget",
+        [DrainBudget(max_pending_posts=5), DrainBudget(max_interval=4.0)],
+        ids=["post-count", "interval"],
+    )
+    def test_budget_reaches_explicit_drain_state_with_zero_drain_calls(
+        self, budget
+    ):
+        """A deferred system with a budget converges to the same final
+        snapshot as an explicit-drain run — without the caller ever
+        calling drain() (close() flushes the final partial batch)."""
+        reference = full_state(
+            run_workload(SystemConfig(runtime_mode="queued", auto_drain=False), 5)
+        )
+
+        config = SystemConfig(runtime_mode="parallel", shards=2, drain_budget=budget)
+        system = ELearningSystem.with_defaults(config)
+        drains = {"n": 0}
+        inner_drain = system.server.drain_supervision
+
+        def counting_drain():
+            drains["n"] += 1
+            return inner_drain()
+
+        system.server.drain_supervision = counting_drain
+        for room in ROOMS:
+            system.open_room(room, topic="t")
+            system.join(room, f"{room}-kid")
+            system.join(room, "prof", Role.TEACHER)
+        for index, (room, user, text) in enumerate(scripted_messages()):
+            system.say(room, user, text)
+            if index % 11 == 0:
+                system.say(room, "prof", "Good question.")
+        assert drains["n"] > 0  # the budget fired mid-traffic on its own
+        system.close()  # flushes the tail unconditionally
+        assert system.supervision_backlog == 0
+        state = full_state(system)
+        for surface in ("corpus", "profiles", "faq", "stats"):
+            assert state[surface] == reference[surface], surface
+
+    def test_budget_ignored_by_auto_drain_modes(self):
+        config = SystemConfig(
+            runtime_mode="queued", drain_budget=DrainBudget(max_pending_posts=1)
+        )
+        system = ELearningSystem.with_defaults(config)
+        system.open_room("r", topic="t")
+        system.join("r", "kid")
+        system.say("r", "kid", "What is a queue?")  # would recurse otherwise
+        assert system.stats.messages == 1
+        system.close()
+
+
+class TestLifecycle:
+    def test_system_close_drains_backlog_and_is_idempotent(self):
+        system = ELearningSystem.with_defaults(parallel_config(2))
+        system.open_room("r", topic="t")
+        system.join("r", "kid")
+        system.say("r", "kid", "I push the data into a tree.")
+        assert system.pending_supervision == 1
+        system.close()  # in-memory system: the backlog still drains
+        assert system.supervision_backlog == 0
+        assert system.stats.messages == 1
+        assert system.runtime._executor is None  # pool threads released
+        system.close()  # idempotent

@@ -132,7 +132,7 @@ class TestCleanRestart:
 class TestCloseFlushesPendingSupervision:
     """A clean shutdown must never lose enqueued supervision work."""
 
-    @pytest.mark.parametrize("mode,shards", [("queued", 1), ("sharded", 2)])
+    @pytest.mark.parametrize("mode,shards", [("queued", 1), ("parallel", 2)])
     def test_close_drains_before_final_snapshot(self, tmp_path, mode, shards):
         canonical = canonical_state(
             tmp_path / mode, {"runtime_mode": mode, "shards": shards, "auto_drain": False}

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.ontology import INFINITY, OntologyGraph, SemanticDistanceEvaluator
 from repro.ontology.builder import OntologyBuilder
-from repro.ontology.domains import default_ontology
+from repro.ontology.domains import build_data_structure_ontology, default_ontology
+from repro.ontology.model import Item, ItemKind, RelationKind
 
 
 @pytest.fixture(scope="module")
@@ -152,3 +153,37 @@ class TestSuggestions:
         assert all(item.name != "stack" for item, _distance in nearest)
         distances = [distance for _item, distance in nearest]
         assert distances == sorted(distances)
+
+
+class TestEvaluatorFollowsEdits:
+    """The evaluator rebuilds its graph when the ontology generation
+    moves, and only then.  Edits go to a private build: the cached
+    ``default_ontology()`` is shared process-wide."""
+
+    def test_graph_reused_while_ontology_unchanged(self):
+        evaluator = SemanticDistanceEvaluator(build_data_structure_ontology())
+        graph = evaluator.graph
+        evaluator.evaluate_pair("stack", "push")
+        evaluator.nearest_items("tree", limit=3)
+        evaluator.concepts_supporting("pop", near="tree")
+        assert evaluator.graph is graph
+
+    def test_added_relation_shortens_distance_and_relates_pair(self):
+        ontology = build_data_structure_ontology()
+        evaluator = SemanticDistanceEvaluator(ontology)
+        assert evaluator.distance("tree", "pop") > 2.0
+        assert not evaluator.evaluate_pair("tree", "pop").related
+        ontology.add_relation("tree", RelationKind.HAS_OPERATION, "pop")
+        assert evaluator.distance("tree", "pop") == 1.0
+        assert evaluator.evaluate_pair("tree", "pop").related
+        assert "tree" in [item.name for item in evaluator.concepts_supporting("pop")]
+
+    def test_added_item_gains_neighbours_once_related(self):
+        ontology = build_data_structure_ontology()
+        evaluator = SemanticDistanceEvaluator(ontology)
+        ontology.add_item(Item(950, "ring buffer", ItemKind.CONCEPT))
+        assert evaluator.nearest_items("ring buffer", 3) == []  # isolated
+        ontology.add_relation("ring buffer", RelationKind.IS_A, "queue")
+        nearest = evaluator.nearest_items("ring buffer", 3)
+        assert nearest[0][0].name == "queue"
+        assert nearest == SemanticDistanceEvaluator(ontology).nearest_items("ring buffer", 3)

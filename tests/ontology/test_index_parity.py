@@ -11,7 +11,6 @@ generation it was built for shows up as a mismatch.
 
 from __future__ import annotations
 
-import pickle
 import sys
 import threading
 
@@ -252,7 +251,55 @@ def test_interleaved_edits_and_queries(steps):
     assert_parity(indexed, scan, keys, keys)
 
 
-# ------------------------------------------------- threads and pickling
+_EDIT_KEYS = ["stack", "tree", "queue", "heap", "push", "pop", "root", "ring", "trie"]
+_evaluator_edits = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("add_item"),
+            st.integers(900, 903),
+            st.sampled_from(["ring", "trie"]),
+            st.sampled_from(list(ItemKind)),
+        ),
+        st.tuples(
+            st.just("add_relation"),
+            st.sampled_from(_EDIT_KEYS),
+            st.sampled_from(list(RelationKind)),
+            st.sampled_from(_EDIT_KEYS),
+        ),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(_evaluator_edits)
+@settings(max_examples=40, deadline=None)
+def test_evaluator_answers_like_a_fresh_one_after_edits(edits):
+    ontology = build_data_structure_ontology()
+    live = SemanticDistanceEvaluator(ontology)
+    for step in edits:
+        # Query first, so the live evaluator holds distances memoized
+        # before the edit.
+        outcome(live.nearest_items, "stack", 8)
+        if step[0] == "add_item":
+            _, item_id, name, kind = step
+            outcome(ontology.add_item, Item(item_id, name, kind))
+        else:
+            _, source, kind, target = step
+            outcome(ontology.add_relation, source, kind, target)
+        fresh = SemanticDistanceEvaluator(ontology)
+        for left in _EDIT_KEYS:
+            assert outcome(live.nearest_items, left, 8) == outcome(fresh.nearest_items, left, 8)
+            for right in _EDIT_KEYS:
+                assert outcome(live.evaluate_pair, left, right) == outcome(
+                    fresh.evaluate_pair, left, right
+                ), (left, right)
+                assert outcome(live.concepts_supporting, left, right) == outcome(
+                    fresh.concepts_supporting, left, right
+                ), (left, right)
+
+
+# ------------------------------------------------------------- threads
 
 
 def test_threads_racing_first_queries_get_oracle_answers():
@@ -298,19 +345,3 @@ def test_threads_racing_first_queries_get_oracle_answers():
     assert not any(thread.is_alive() for thread in threads)
     assert len(finished) == workers
     assert mismatches == []
-
-
-def test_pickle_drops_memos_and_keeps_answers():
-    ontology = build_data_structure_ontology()
-    keys, pair_keys = all_keys(ontology)
-    assert_parity(ontology, scan_twin(ontology), keys, pair_keys)  # fills every memo
-    state = ontology.__getstate__()
-    assert not state["_memos"].closure and not state["_memos"].inherited
-    assert state["_memos"].concepts is None and not state["_memos"].supporters
-
-    clone = pickle.loads(pickle.dumps(ontology))
-    assert clone.generation == ontology.generation
-    assert_parity(clone, scan_twin(ontology), keys, pair_keys)
-    clone.add_relation("tree", RelationKind.HAS_OPERATION, "pop")
-    assert clone.has_operation("tree", "pop")
-    assert not ontology.has_operation("tree", "pop")

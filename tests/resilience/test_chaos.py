@@ -16,7 +16,7 @@ makes; the sweep then arms each crossing in turn and asserts:
   continues, analyses park on the deferred ledger, and the backfill on
   heal (probe → close → release) restores parity;
 * seeded **rate** faults and injected **latency** obey the same
-  invariants end to end, in the queued, sharded and parallel runtimes.
+  invariants end to end, in the queued and parallel runtimes.
 
 The tier-1 subset sweeps a spread of crossings; the full sweeps carry
 ``@pytest.mark.slow`` (satellite: chaos stays fast by default).
@@ -318,18 +318,19 @@ class TestInjectedLatency:
 
 
 class TestShardedRuntime:
-    """The cooperative sharded drain under the same chaos invariants."""
+    """A two-shard parallel drain under the same chaos invariants."""
 
     def sharded_kwargs(self, plan=None) -> dict:
-        return dict(runtime_mode="sharded", shards=2, runtime_faults=plan)
+        return dict(runtime_mode="parallel", shards=2, runtime_faults=plan)
 
     def test_fault_free_matches_queued_canonical(self, canonical):
         system = run_script(build_system(**self.sharded_kwargs()))
         assert canonical_state(system) == canonical["state"]
+        system.close()
 
     def test_poison_point_redrives_to_parity(self, canonical):
         probe = RuntimeFaultPlan()
-        run_script(build_system(**self.sharded_kwargs(probe)))
+        run_script(build_system(**self.sharded_kwargs(probe))).close()
         for k in spread(probe.count, points=3):
             plan = RuntimeFaultPlan(fail_at=k, fail_times=3)
             system = run_script(build_system(**self.sharded_kwargs(plan)))
@@ -338,6 +339,7 @@ class TestShardedRuntime:
             assert system.quarantined == 1
             heal_and_settle(system, plan)
             assert canonical_state(system) == canonical["state"], f"crossing {k}"
+            system.close()
 
 
 class TestParallelRuntime:

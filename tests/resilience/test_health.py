@@ -98,7 +98,7 @@ class TestStructuredShedEvents:
 
     def sheddy_system(self) -> ELearningSystem:
         system = ELearningSystem.with_defaults(
-            SystemConfig(runtime_mode="sharded", shards=1, max_pending=1)
+            SystemConfig(runtime_mode="parallel", shards=1, max_pending=1)
         )
         system.open_room(ROOM, topic="stacks")
         system.join(ROOM, "alice")

@@ -13,7 +13,7 @@ from repro.resilience.quarantine import rebuild_item
 
 
 def make_server() -> ChatServer:
-    server = ChatServer(SimulatedClock(), EventBus(), SupervisionRuntime(mode="inline"))
+    server = ChatServer(SimulatedClock(), EventBus(), SupervisionRuntime())
     server.create_room("ds-101", "stacks")
     server.join("ds-101", "alice")
     return server
@@ -121,71 +121,42 @@ class TestQuarantineStore:
         assert len(restored) == 0
 
 
-class TestWorkerResultAbsorb:
-    """Process-mode workers ship failure results across the boundary;
-    ``absorb_worker_results`` must fold them in exactly like the
-    thread-pool path would have: rows dead-letter (replacing any stale
-    deferred entry), counters arrive as additive deltas, and journal
-    writes buffer for the caller-thread flush."""
+class TestDeferredJournal:
+    """Pool threads dead-letter with ``defer_journal``: the row lands in
+    the quarantine store at once, and its journal write waits for the
+    caller-thread flush at the drain barrier, in seq order.  The caller's
+    thread (the ``queued`` executor) journals each row as it happens."""
+
+    class JournalSpy:
+        def __init__(self):
+            self.rows = []
+
+        def item_quarantined(self, row_dict):
+            self.rows.append(row_dict)
 
     def controller(self):
         from repro.resilience.controller import ResilienceController
 
-        return ResilienceController()
+        controller = ResilienceController()
+        controller.journal = self.JournalSpy()
+        return controller
 
-    def test_rows_dead_letter_and_displace_deferred(self):
+    def test_rows_journal_at_once_without_deferral(self):
         controller = self.controller()
-        controller.deferred[7] = object()  # stale parked entry, same seq
-        controller.absorb_worker_results([make_row(seq=7), make_row(seq=9)])
-        assert len(controller.quarantine) == 2
-        assert controller.quarantine.get(7).text == "stack the holds data."
-        assert 7 not in controller.deferred
-        # No shipped counter delta: the parent counts the rows itself.
-        assert controller.counters.quarantined == 2
-
-    def test_shipped_counter_delta_is_absorbed_without_recounting(self):
-        from repro.resilience.controller import ResilienceCounters
-
-        controller = self.controller()
-        delta = ResilienceCounters(
-            retries=3, retry_successes=1, stage_failures=2, quarantined=1,
-            backoff_virtual=0.25,
-        )
-        controller.absorb_worker_results([make_row(seq=7)], delta)
-        # The child already counted its own quarantine; no double count.
-        assert controller.counters.quarantined == 1
-        assert controller.counters.retries == 3
-        assert controller.counters.retry_successes == 1
-        assert controller.counters.stage_failures == 2
-        assert controller.counters.backoff_virtual == 0.25
-
-    def test_counters_absorb_is_field_wise_addition(self):
-        from dataclasses import fields
-
-        from repro.resilience.controller import ResilienceCounters
-
-        total = ResilienceCounters(retries=1, stall_virtual=0.5)
-        total.absorb(ResilienceCounters(retries=2, quarantined=4, stall_virtual=0.5))
-        assert total.retries == 3
-        assert total.quarantined == 4
-        assert total.stall_virtual == 1.0
-        untouched = {
-            f.name for f in fields(ResilienceCounters)
-            if f.name not in ("retries", "quarantined", "stall_virtual")
-        }
-        assert all(getattr(total, name) == 0 for name in untouched)
+        server = make_server()
+        item = rebuild_item(server, make_row(seq=7))
+        controller.on_item_failure(item, RuntimeError("boom"))
+        assert [row["seq"] for row in controller.journal.rows] == [7]
+        controller.flush_journal()  # nothing buffered: no second write
+        assert [row["seq"] for row in controller.journal.rows] == [7]
 
     def test_rows_buffer_for_the_journal_flush(self):
-        class JournalSpy:
-            def __init__(self):
-                self.rows = []
-
-            def item_quarantined(self, row_dict):
-                self.rows.append(row_dict)
-
         controller = self.controller()
-        controller.journal = JournalSpy()
-        controller.absorb_worker_results([make_row(seq=7)])
+        server = make_server()
+        for seq in (9, 7):
+            item = rebuild_item(server, make_row(seq=seq))
+            controller.on_item_failure(item, RuntimeError("boom"), defer_journal=True)
+        assert len(controller.quarantine) == 2
         assert controller.journal.rows == []  # buffered, not yet written
         controller.flush_journal()
-        assert [row["seq"] for row in controller.journal.rows] == [7]
+        assert [row["seq"] for row in controller.journal.rows] == [7, 9]

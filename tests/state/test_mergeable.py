@@ -284,71 +284,6 @@ class TestFAQMerge:
         assert faq.lookup(matches["stack"]) is None
 
 
-class TestReplicaDeltaEquivalence:
-    """The ``ReplicaDelta`` wire form is a complete merge stand-in.
-
-    Every base-store ``merge()`` reads exactly ``replica.base_len`` and
-    ``replica.pending`` — the process runtime relies on this to ship a
-    two-field plain-data delta instead of the replica object.  Pin the
-    equivalence for all three implementations.
-    """
-
-    def test_corpus_delta_merge_equals_replica_merge(self):
-        from repro.state import delta_of
-
-        reference, via_delta = LearnerCorpus(), LearnerCorpus()
-        for corpus in (reference, via_delta):
-            corpus.add(make_record(0, "the stack stores data", keywords=("stack",)))
-        replica = via_delta.fork()
-        twin = reference.fork()
-        for seq, (text, verdict, keywords) in enumerate(SENTENCES[:4], start=1):
-            for target in (replica, twin):
-                target.begin_origin(seq)
-                target.add(make_record(target.next_id(), text, verdict, keywords))
-        reference.merge(twin)
-        via_delta.merge(delta_of(replica))
-        assert snapshots_equal(via_delta, reference)
-
-    def test_profile_delta_merge_equals_replica_merge(self):
-        from repro.state import delta_of
-
-        reference, via_delta = UserProfileStore(), UserProfileStore()
-        replica, twin = via_delta.fork(), reference.fork()
-        for seq, target in ((1, replica), (1, twin), (2, replica), (2, twin)):
-            target.begin_origin(seq)
-            target.record_activity("ann", float(seq), question=True, topics=("stack",))
-        reference.merge(twin)
-        via_delta.merge(delta_of(replica))
-        assert snapshots_equal(via_delta, reference)
-
-    def test_faq_delta_merge_equals_replica_merge(self):
-        from repro.ontology.domains import default_ontology
-        from repro.state import delta_of
-
-        match = QASystem(default_ontology()).resolve("What is a stack?").match
-        reference, via_delta = FAQDatabase(), FAQDatabase()
-        replica, twin = via_delta.fork(), reference.fork()
-        for target in (replica, twin):
-            target.begin_origin(3)
-            target.record(match, "What is a stack?", "A stack is a LIFO.", now=3.0)
-        corrections_twin = reference.merge(twin)
-        corrections_delta = via_delta.merge(delta_of(replica))
-        assert corrections_delta == corrections_twin
-        assert snapshots_equal(via_delta, reference)
-
-    def test_delta_reports_pending_size(self):
-        from repro.state import ReplicaDelta, delta_of
-
-        corpus = LearnerCorpus()
-        replica = corpus.fork()
-        replica.begin_origin(1)
-        replica.add(make_record(0, "the stack stores data"))
-        delta = delta_of(replica)
-        assert isinstance(delta, ReplicaDelta)
-        assert len(delta) == 1
-        assert delta.base_len == 0
-
-
 class TestProtocolDeclarationsAreInert:
     """The @runtime_checkable protocols declare shape only: invoking a
     declared body directly must be a behaviourless no-op.  (This also

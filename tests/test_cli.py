@@ -78,6 +78,30 @@ class TestExportAndSimulate:
         out = capsys.readouterr().out
         assert "messages=" in out
 
+    def test_simulate_parallel_runtime(self, capsys):
+        assert main(["simulate", "--rounds", "1", "--learners", "2", "--seed", "1",
+                     "--runtime", "parallel", "--shards", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "runtime=parallel workers=2" in out
+
+    @pytest.mark.parametrize("command", ["simulate", "serve"])
+    def test_runtime_choices_are_the_runtime_modes(self, command):
+        from repro.chatroom import RUNTIME_MODES
+        from repro.cli import build_arg_parser
+
+        for mode in RUNTIME_MODES:
+            args = build_arg_parser().parse_args([command, "--runtime", mode])
+            assert args.runtime == mode
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--runtime", "process"],
+        ["serve", "--runtime", "sharded"],
+        ["simulate", "--workers", "4"],
+    ])
+    def test_removed_runtime_options_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            main(argv)
+
     @pytest.mark.slow
     def test_simulate_durable_then_recover(self, tmp_path, capsys):
         data_dir = str(tmp_path / "state")

@@ -17,9 +17,9 @@ below its committed floor.  Gated today:
   retries, breakers and quarantine are likewise fault-path-only code:
   a line that never ran in tests first runs during a production fault;
 * ``src/repro/state``      against ``tests/state``      (floor 95%) —
-  the fork/merge/delta protocol is what the process runtime ships
-  across its boundary; an untested line there is silent state
-  divergence between parent and child.
+  the fork/merge protocol is what the parallel runtime's barrier
+  relies on; an untested line there is silent state divergence
+  between shards and the serial replay.
 
 One pytest run covers all suites; coverage is attributed per subsystem
 afterwards, so cross-subsystem hits (the durability tests exercising
@@ -52,7 +52,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 #: landed (PR 5); durability measured 97% when the WAL/snapshot layer
 #: landed (PR 6); resilience measured 96.7% when the
 #: fault-tolerance subsystem landed (PR 7); state measured
-#: 100% when the process runtime landed (PR 8).
+#: 100% when its gate was added.
 SUBSYSTEMS: tuple[tuple[str, str, float], ...] = (
     ("src/repro/corpus", "tests/corpus", 95.0),
     ("src/repro/durability", "tests/durability", 95.0),
