@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test test-slow check bench bench-quick bench-pytest simulate docs-check coverage
+.PHONY: test test-slow check bench bench-quick bench-pytest bench-selftest simulate docs-check coverage
 
 # Tier-1: fast, deterministic, no benchmarks (see pytest.ini).
 test:
@@ -17,8 +17,16 @@ test-slow:
 
 # CI gate: tier-1 tests, a bench smoke run (scratch output, so the
 # committed BENCH_parse.json and its pinned seed baseline stay put),
-# and the corpus-subsystem coverage floor.
-check: test bench-quick coverage
+# the corpus-subsystem coverage floor, and classbench's deterministic
+# self-tests.
+check: test bench-quick coverage bench-selftest
+
+# classbench's deterministic self-tests: the seeded trace generator and
+# the run digest every benchmark comparison relies on (~4 s).  The
+# workload smoke test (classbench/tests/test_smoke.py) stays out: its
+# traced `served` coverage check is timing-sensitive (see ROADMAP.md).
+bench-selftest:
+	$(PY) -m pytest -q classbench/tests/test_tracegen.py classbench/tests/test_digest.py
 
 # Line-coverage floor over src/repro/corpus (stdlib tracer, offline;
 # fails on regression below the floor in tools/coverage_gate.py).

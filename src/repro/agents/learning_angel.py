@@ -41,8 +41,10 @@ class LearningAngelAgent:
             own sentence (on by default).
         cache_store: parse cache shared by the analyzer's and the
             repairer's parsers.  Defaults to the dictionary's own shared
-            store, so repair candidates re-parsed by either component hit
-            a single LRU; pass an explicit store to isolate the agent.
+            store, so both components hit a single LRU: repair candidates
+            that survive the zero-null gate enter it fully parsed, and
+            gated-out ones leave only their zero-null count.  Pass an
+            explicit store to isolate the agent.
     """
 
     name = AGENT_NAME

@@ -165,6 +165,9 @@ class Parser:
     * a **count cache** for :meth:`count_linkages`, keyed the same way
       plus the requested null level.
 
+    :meth:`parse_complete` reads both: it stores its zero-null count in
+    the count cache and only the results that pass into the sentence cache.
+
     Both live in a :class:`~repro.linkgrammar.cache.ParseCacheStore` —
     private by default, or passed in via ``cache_store`` so several
     parsers over the same dictionary (the analyzer, the repairer) share
@@ -213,6 +216,48 @@ class Parser:
         result = _ParseSession(self.dictionary, sentence, self.options).run()
         store.put_parse(key, result)
         return result
+
+    def parse_complete(self, text: str | TokenizedSentence) -> ParseResult | None:
+        """:meth:`parse`, but only when the sentence parses with zero nulls.
+
+        Returns the same result :meth:`parse` would, or ``None`` when that
+        result would have nulls.  The zero-null count gates the work:
+        :meth:`_ParseSession.run` tries 0 nulls first, so it yields a
+        zero-null result iff ``count_at(0) > 0``, and a sentence that fails
+        the gate never runs the null search or enumerates linkages.  The
+        count is read from and stored under the :meth:`count_linkages`
+        key; a survivor reuses the gating session's count memo and enters
+        the sentence cache exactly as :meth:`parse` would store it.
+        """
+        sentence = tokenize(text) if isinstance(text, str) else text
+        if self.options.cache_size <= 0:
+            session = _ParseSession(self.dictionary, sentence, self.options)
+            if session.count_at(0) == 0:
+                return None
+            result = session.run()
+            return result if result.null_count == 0 else None
+        store = self.cache_store
+        store.sync_generation(self.dictionary.version)
+        key = (sentence.words, self._fingerprint)
+        cached = store.get_parse(key)
+        if cached is not None:
+            if cached.null_count != 0:
+                return None
+            return cached if cached.sentence == sentence else replace(cached, sentence=sentence)
+        count_key = (sentence.words, 0, self._fingerprint)
+        count = store.get_count(count_key)
+        if count == 0:
+            return None
+        session = _ParseSession(self.dictionary, sentence, self.options)
+        if count is None:
+            count = session.count_at(0)
+            store.put_count(count_key, count)
+            if count == 0:
+                return None
+        result = session.run()
+        store.put_parse(key, result)
+        # Only a negative max_null_count, which skips zero nulls, fails this.
+        return result if result.null_count == 0 else None
 
     def count_linkages(self, text: str | TokenizedSentence, nulls: int = 0) -> int:
         """Number of linkages with exactly ``nulls`` unlinked words."""

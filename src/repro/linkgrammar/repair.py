@@ -10,10 +10,14 @@ sentences, this module proposes *edits to the learner's own sentence*:
   subject-verb agreement and number errors);
 * swap adjacent words (fixing local word-order slips).
 
-Candidates are generated around the diagnosed trouble spots, re-parsed,
-and only candidates that parse strictly better (fewer nulls, then lower
-cost) are offered, best first.  The search is bounded, so repair stays
-interactive-fast.
+Candidates are generated around the diagnosed trouble spots.  Only
+candidates that parse with zero nulls and strictly better than the
+original (fewer nulls, then lower cost) are offered, best first, so the
+search does only the work that can yield one: a candidate with an
+unknown word is dropped before any parse, and the rest pass through
+:meth:`~repro.linkgrammar.parser.Parser.parse_complete`, which counts
+zero-null linkages and fully parses only the candidates that have some.
+The search is bounded, so repair stays interactive-fast.
 """
 
 from __future__ import annotations
@@ -73,7 +77,10 @@ class SentenceRepairer:
         )
         self.max_candidates = max_candidates
         self.max_results = max_results
+        # Variants depend on which words are defined: scoped, like the
+        # parse caches, to the dictionary generation they were built under.
         self._variant_cache: dict[str, tuple[str, ...]] = {}
+        self._variant_version = dictionary.version
 
     # ----------------------------------------------------------------- API
 
@@ -95,26 +102,25 @@ class SentenceRepairer:
         if not words:
             return []
         trouble = self._trouble_spots(baseline, len(words))
+        is_known = self.dictionary.is_known
         repairs: list[Repair] = []
         seen: set[str] = set()
         for candidate, edit in self._candidates(words, terminator, trouble):
             if candidate in seen or candidate.lower() == sentence.raw.lower():
                 continue
             seen.add(candidate)
-            result = self.parser.parse(candidate)
-            if result.unknown_words:
+            tokens = tokenize(candidate)
+            # Unknown words never make a repair, so skip the parse.  The
+            # ``continue`` also skips the ``max_candidates`` check below:
+            # only known-word candidates can end the search.
+            if not all(map(is_known, tokens.words)):
                 continue
             # A repair must be *fully* grammatical — a partial improvement
             # would still draw a Learning_Angel warning.
-            key = (result.null_count, result.best.cost if result.best else 0)
-            if result.null_count == 0 and result.linkages and key < base_key:
+            result = self.parser.parse_complete(tokens)
+            if result is not None and result.linkages and (0, result.best.cost) < base_key:
                 repairs.append(
-                    Repair(
-                        text=candidate,
-                        edit=edit,
-                        null_count=0,
-                        cost=result.best.cost if result.best else 0,
-                    )
+                    Repair(text=candidate, edit=edit, null_count=0, cost=result.best.cost)
                 )
             if len(seen) >= self.max_candidates:
                 break
@@ -176,6 +182,9 @@ class SentenceRepairer:
 
     def _variants(self, word: str) -> tuple[str, ...]:
         """Other known inflections sharing this word's base."""
+        if self._variant_version != self.dictionary.version:
+            self._variant_cache = {}
+            self._variant_version = self.dictionary.version
         cached = self._variant_cache.get(word)
         if cached is not None:
             return cached
