@@ -11,7 +11,8 @@ test:
 
 # Just the @slow suites (CI's nightly job): full 200-seed segmented
 # parity at aggressive freeze cadence, chaos soak, the executor x
-# drain-cadence parity sweep, full simulate runs.
+# drain-cadence parity sweep, the analysis-record vs no-record seed
+# sweep, full simulate runs.
 test-slow:
 	$(PY) -m pytest -m slow -q
 

@@ -9,6 +9,8 @@ records the tagged sentence back into the corpus.
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.corpus.records import Correctness, CorpusRecord
 from repro.corpus.search import SuggestionSearch
 from repro.corpus.store import LearnerCorpus
@@ -28,6 +30,14 @@ AGENT_NAME = "Learning_Angel"
 
 class LearningAngelAgent:
     """Syntax supervisor: parse, diagnose, suggest, record.
+
+    :meth:`review` runs in two halves.  :meth:`static_review` (parse,
+    diagnosis, keywords, repairs) is a pure function of the sentence and
+    the dictionary and ontology generations; :meth:`suggest` reads the
+    live learner corpus.  The supervision pipeline calls the halves
+    itself: it keeps the static half in a per-utterance record, runs the
+    suggestion search per occurrence, and runs neither the search nor
+    repair for questions, whose replies never show them.
 
     Args:
         dictionary: the chat-room link-grammar dictionary.
@@ -87,11 +97,11 @@ class LearningAngelAgent:
         """Identity of the static state a review depends on.
 
         Two agents with the same dictionary, parse options and keyword
-        filter produce value-identical reviews for any sentence whose
-        analysis does not read the learner corpus; the supervision
-        pipeline keys its batch memo on this (plus the semantic agent),
-        so per-worker forks of one agent share memo entries while
-        unrelated agents never do.
+        filter produce value-identical :meth:`static_review` results;
+        the supervision pipeline keys its analysis records on this (plus
+        the semantic agent, the QA matcher and the dictionary and
+        ontology generations), so per-worker forks of one agent share
+        records while unrelated agents never do.
         """
         return (id(self.analyzer.dictionary), id(self.options), id(self.keyword_filter))
 
@@ -122,29 +132,55 @@ class LearningAngelAgent:
 
         Accepts a pre-tokenised sentence and a precomputed pattern
         classification so the supervision pipeline tokenises and
-        classifies each sentence exactly once.
+        classifies each sentence exactly once.  Equivalent to
+        :meth:`suggest` over :meth:`static_review`.
         """
         sentence = tokenize(text) if isinstance(text, str) else text
         if pattern is None:
             pattern = classify(sentence)
+        return self.suggest(sentence, self.static_review(sentence, pattern))
+
+    def static_review(
+        self,
+        sentence: TokenizedSentence,
+        pattern: PatternAnalysis,
+        repair: bool = True,
+    ) -> SyntaxReview:
+        """The corpus-independent half of :meth:`review`.
+
+        Diagnosis, keywords and (with ``repair``) repairs depend only on
+        the sentence, the dictionary generation and the ontology
+        generation, so the supervision pipeline keeps the result in its
+        per-utterance record.  ``suggestion`` is always None here.
+        """
         diagnosis = self.analyzer.analyze(sentence)
         keywords = tuple(self.keyword_filter.extract(sentence)) if self.keyword_filter else ()
-        suggestion = None
         repairs = ()
-        if not diagnosis.is_correct:
-            if self.search is not None:
-                suggestion = self.search.best_sentence(
-                    sentence, keywords=[match.name for match in keywords]
-                )
-            if self.repairer is not None:
-                repairs = tuple(self.repairer.repair(sentence))
+        if repair and not diagnosis.is_correct and self.repairer is not None:
+            repairs = tuple(self.repairer.repair(sentence))
         return SyntaxReview(
             diagnosis=diagnosis,
-            suggestion=suggestion,
             repairs=repairs,
             keywords=keywords,
             pattern=pattern,
         )
+
+    def suggest(self, sentence: TokenizedSentence, review: SyntaxReview) -> SyntaxReview:
+        """``review`` with a model sentence from the live learner corpus.
+
+        The half of :meth:`review` that reads the corpus: a faulty
+        sentence gets the best-matching correct corpus sentence as its
+        suggestion; a correct one (or an agent without a corpus) is
+        returned unchanged.
+        """
+        if review.is_correct or self.search is None:
+            return review
+        suggestion = self.search.best_sentence(
+            sentence, keywords=[match.name for match in review.keywords]
+        )
+        if suggestion is None:
+            return review
+        return dataclasses.replace(review, suggestion=suggestion)
 
     def record(
         self,

@@ -22,9 +22,14 @@ drain`); the two modes differ only in where a cycle's batches execute:
     ``ThreadPoolExecutor``.  At the barrier the replicas merge back
     (deterministic in any merge order — writes carry their origin seq),
     the buffered agent replies flush in post order and the replicas
-    re-snapshot.  Analyses are frozen against the barrier snapshot, so
-    the cycle memo dedups *every* repeated sentence and the merged
-    state is identical whatever the thread interleaving.
+    re-snapshot.  Suggestion searches read the barrier snapshot, so a
+    per-cycle memo shares each faulty sentence's suggestion across
+    rooms and threads, and the merged state is identical whatever the
+    thread interleaving.
+
+In both modes each pipeline's analysis record store (see
+:mod:`repro.chatroom.supervisor`) analyses every distinct utterance
+once, across drains, cycles and worker threads.
 
 ``queued`` is deterministic by construction; ``parallel`` is
 deterministic in *outcome* (merged stores, stats, transcripts) for a
@@ -196,17 +201,15 @@ class SupervisionRuntime:
         taken by a later cycle.  The drain ends when the queues are
         empty and the last cycle handled nothing.
 
-        The sentence-analysis memo spans the whole drain in ``queued``
-        mode, where only corpus-independent analyses enter it; in
-        ``parallel`` mode its entries were computed against one cycle's
-        snapshot, so every cycle starts a fresh one.
+        ``parallel`` cycles each get a fresh suggestion memo: its
+        entries were computed against that cycle's snapshot.  ``queued``
+        needs none; its suggestion searches read the live corpus.
         """
         if self._draining:
             return 0
         self._draining = True
         resilience = self.resilience
         pool = self._pool() if self.mode == "parallel" else None
-        memo: dict = {}
         done = 0
         try:
             # One drain = one cooldown tick for open breakers, so a
@@ -220,9 +223,7 @@ class SupervisionRuntime:
                 batches = [worker.take_batch(self.batch_size) for worker in self.workers]
                 if not any(batches):
                     return done
-                if pool is not None:
-                    memo = {}
-                handled = self._run_batches(server, pool, batches, memo)
+                handled = self._run_batches(server, pool, batches)
                 self._barrier(server, batches)
                 done += handled
                 if not handled and not self.pending:
@@ -233,7 +234,7 @@ class SupervisionRuntime:
         finally:
             self._draining = False
 
-    def _run_batches(self, server, pool, batches: list, memo: dict) -> int:
+    def _run_batches(self, server, pool, batches: list) -> int:
         """Run one cycle's batches; returns the items handled.
 
         A batch only aborts on a simulated crash; the first such error
@@ -246,12 +247,13 @@ class SupervisionRuntime:
         try:
             if pool is None:
                 return sum(
-                    worker.process_batch(server, batch, memo, resilience)
+                    worker.process_batch(server, batch, None, resilience)
                     for worker, batch in zip(self.workers, batches)
                     if batch
                 )
             # Quarantine rows of pool threads are journaled at the
             # barrier: the event log is not thread-safe.
+            memo: dict = {}
             futures = [
                 pool.submit(worker.process_batch, server, batch, memo, resilience, True)
                 for worker, batch in zip(self.workers, batches)

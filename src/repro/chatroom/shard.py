@@ -76,7 +76,7 @@ def dispatch(supervisor, server, item: SupervisionItem, memo: dict | None) -> No
     """Deliver one item to a supervisor, newest protocol first.
 
     Rich supervisors (the pipeline) take the resolved item plus the
-    batch's shared-analysis memo; plain observers keep the original
+    ``parallel`` cycle's suggestion memo; plain observers keep the original
     ``on_message(server, message)`` protocol.
     """
     handler = getattr(supervisor, "on_item", None)

@@ -8,40 +8,48 @@ database, and agent replies are posted back into the room.
 
 The pipeline consumes :class:`~repro.chatroom.shard.SupervisionItem`
 work items (message + room resolved once at post time) and splits each
-sentence's handling into a *pure analysis* step and an *apply* step
-(stats, replies, recording).  The split is what makes batch dedup sound:
-analyses of syntactically-correct sentences depend only on static state
-(dictionary, ontology, keyword filter), so a drain batch can compute
-them once per distinct sentence and fan the result out across rooms.
-In ``queued`` mode, which writes the shared stores, faulty sentences
-consult the growing learner corpus for suggestions and are therefore
-always analysed fresh, keeping batched output identical to per-post
-supervision.
+sentence's handling into a *plan* step (analysis, under the resilience
+stage guards) and a *commit* step (stats, replies, recording).
+
+**One analysis record per distinct utterance.**  Tokens, pattern,
+grammar diagnosis, keywords, repairs, the semantic review of a correct
+statement and the QA resolution of a question are pure functions of
+(agents, ``Dictionary.version``, ``Ontology.generation``, text).  The
+pipeline keeps them in an :class:`AnalysisRecordStore` — a bounded LRU
+shared by every shard fork of one pipeline — so a repeated sentence is
+analysed once, whichever room, drain or worker thread posts it.  Each
+occurrence runs only the work that reads live state: a faulty
+statement's suggestion search (the learner corpus grows between posts)
+and the commit phase.  Questions never run the suggestion search or
+repair: their replies never show either.
 
 **Shard-local mode** (:meth:`SupervisionPipeline.fork_shard`): the
 ``parallel`` runtime hands every worker a pipeline twin bound to shard
 replicas of the corpus, profile and FAQ stores (see :mod:`repro.state`),
 with agent replies buffered in an outbox the runtime flushes in post
 order at the drain barrier.  Because replica reads are frozen at the
-barrier snapshot, *every* analysis — faulty sentences included — becomes
-a pure function of (sentence, snapshot) and the batch memo may share
-them across rooms, shards and worker threads.
+barrier snapshot, a faulty sentence's suggestion is a pure function of
+(sentence, snapshot) for the length of a cycle, and the runtime's
+per-cycle memo shares it across rooms, shards and worker threads.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Hashable, Iterable
 
 from repro.agents.learning_angel import LearningAngelAgent
 from repro.agents.reports import SemanticReview, SemanticVerdict, SyntaxReview
 from repro.agents.semantic_agent import SemanticAgent
 from repro.corpus.records import Correctness
+from repro.linkgrammar.dictionary import Dictionary
 from repro.linkgrammar.tokenizer import TokenizedSentence, split_sentences, tokenize
 from repro.nlp.patterns import PatternAnalysis, classify
 from repro.profiles.store import UserProfileStore
-from repro.qa.engine import QASystem
+from repro.qa.engine import QAResolution, QASystem
 
 from .messages import ChatMessage, MessageKind, Role
 from .server import ChatServer
@@ -81,21 +89,61 @@ class SupervisionStats:
 
 
 @dataclass(slots=True)
-class _SentenceAnalysis:
-    """The pure (side-effect-free) analysis of one sentence.
+class _AnalysisRecord:
+    """Everything about one distinct utterance that its key determines.
 
-    ``shareable`` marks analyses that depend only on static state — a
-    syntactically-correct review never touches the learner corpus — and
-    may therefore be fanned out across rooms within a drain batch.  The
-    semantic review is filled lazily by the first statement that needs
-    it and reused by every later duplicate.
+    ``review`` is Learning_Angel's static review (diagnosis, keywords
+    and, for statements, repairs); it never carries a suggestion, which
+    reads the live corpus.  ``semantic`` (correct statements) and
+    ``resolution`` (questions) are filled lazily, each under its own
+    stage guard, by the first occurrence that needs them.  The fills are
+    value-deterministic, so threads racing to fill one store equal
+    values.
     """
 
     tokenized: TokenizedSentence
     pattern: PatternAnalysis
     review: SyntaxReview
-    shareable: bool
     semantic: SemanticReview | None = None
+    resolution: QAResolution | None = None
+
+
+class AnalysisRecordStore:
+    """A bounded, lock-guarded LRU of per-utterance analysis records.
+
+    One store per prototype pipeline, shared by its shard forks, so the
+    ``parallel`` runtime's worker threads share it the way they share
+    the parse cache.  Keys carry the dictionary version and ontology
+    generation, so an edit makes every older record unreachable; the
+    LRU bound then ages them out.  :meth:`add` keeps the first record
+    stored under a key, so racing builders converge on one record.
+    """
+
+    def __init__(self, max_entries: int = Dictionary.SHARED_CACHE_ENTRIES) -> None:
+        self.max_entries = max_entries
+        self._records: OrderedDict[Hashable, _AnalysisRecord] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def get(self, key: Hashable) -> _AnalysisRecord | None:
+        with self._lock:
+            record = self._records.get(key)
+            if record is not None:
+                self._records.move_to_end(key)
+            return record
+
+    def add(self, key: Hashable, record: _AnalysisRecord) -> _AnalysisRecord:
+        """Store a fully built record; returns the one now under ``key``."""
+        with self._lock:
+            existing = self._records.get(key)
+            if existing is not None:
+                return existing
+            self._records[key] = record
+            if len(self._records) > self.max_entries:
+                self._records.popitem(last=False)
+            return record
 
 
 @dataclass(slots=True)
@@ -103,17 +151,17 @@ class _SentencePlan:
     """One sentence's planned supervision: analysis done, nothing applied.
 
     ``on_item`` plans *every* sentence of a message before committing
-    any of them.  All the fallible work — parsing, semantic review, QA
-    resolution — happens during planning under the resilience stage
-    guards; the commit phase only writes stores and posts replies.  An
-    injected or real fault therefore always strikes before the item has
-    any side effects, which is what makes retrying or redriving the
-    item exactly-once.
+    any of them.  All the fallible work — parsing, suggestion search,
+    semantic review, QA resolution — happens during planning under the
+    resilience stage guards; the commit phase only writes stores and
+    posts replies.  An injected or real fault therefore always strikes
+    before the item has any side effects, which is what makes retrying
+    or redriving the item exactly-once.  ``review`` is the record's
+    review plus this occurrence's suggestion.
     """
 
-    sentence: str
-    analysis: _SentenceAnalysis
-    resolution: object | None = None
+    record: _AnalysisRecord
+    review: SyntaxReview
 
 
 @dataclass(slots=True)
@@ -205,6 +253,7 @@ class SupervisionPipeline:
         self.profiles = profiles
         self.policy = policy or SupervisionPolicy()
         self.stats = SupervisionStats()
+        self.records = AnalysisRecordStore()
         self._forks: list["SupervisionPipeline"] = []
         # Shard-local mode (set by fork_shard): replicas + reply outbox.
         self.shard_stores: ShardStores | None = None
@@ -220,10 +269,11 @@ class SupervisionPipeline:
         """A per-worker twin owning private store replicas.
 
         The twin's agents share every static collaborator (dictionary,
-        parse options, keyword filter, ontology, matcher, parse cache)
-        but write to forked replicas of the corpus, profile and FAQ
-        stores, and buffer agent replies in the returned bundle's
-        outbox.  Stats are private, merged via :meth:`combined_stats`.
+        parse options, keyword filter, ontology, matcher, parse cache),
+        and the twin shares the analysis record store, but it writes to
+        forked replicas of the corpus, profile and FAQ stores and
+        buffers agent replies in the returned bundle's outbox.  Stats
+        are private, merged via :meth:`combined_stats`.
         """
         corpus = self.learning_angel.corpus
         stores = ShardStores(
@@ -239,6 +289,7 @@ class SupervisionPipeline:
             self.policy,
         )
         twin.shard_stores = stores
+        twin.records = self.records
         stores.pipeline = twin
         twin.resilience = self.resilience
         self._forks.append(twin)
@@ -269,16 +320,17 @@ class SupervisionPipeline:
         item: SupervisionItem,
         memo: dict | None = None,
     ) -> None:
-        """Supervise one work item; ``memo`` shares analyses in a batch.
+        """Supervise one work item; ``memo`` is a parallel cycle's
+        suggestion memo (None elsewhere).
 
         Two phases.  **Plan** runs every sentence's fallible analysis —
-        parsing, semantic review, QA resolution — under the resilience
-        stage guards, touching no store.  **Commit** then applies the
-        plans: counters, corpus records, profiles, FAQ bumps, replies.
-        The single :meth:`ResilienceController.guard_commit` crossing
-        between the phases is the last point a fault can strike, so a
-        failed item is always side-effect free and safe to retry,
-        defer or redrive without double-counting.
+        parsing, suggestion search, semantic review, QA resolution —
+        under the resilience stage guards, touching no store.  **Commit**
+        then applies the plans: counters, corpus records, profiles, FAQ
+        bumps, replies.  The single :meth:`ResilienceController.
+        guard_commit` crossing between the phases is the last point a
+        fault can strike, so a failed item is always side-effect free
+        and safe to retry, defer or redrive without double-counting.
         """
         message = item.message
         if message.kind != MessageKind.USER:
@@ -304,6 +356,12 @@ class SupervisionPipeline:
                 server, message, plan, index, replies_posted
             )
 
+    def _guarded(self, stage: str, key: str, call: Callable):
+        """``call()`` under the resilience stage guard, when one is wired."""
+        if self.resilience is None:
+            return call()
+        return self.resilience.guard(stage, key, call)
+
     def _plan_sentence(
         self,
         message: ChatMessage,
@@ -311,109 +369,100 @@ class SupervisionPipeline:
         sentence: str,
         memo: dict | None,
     ) -> _SentencePlan:
-        """Run one sentence's pure analysis under the stage guards.
+        """Run one sentence's analysis under the stage guards.
 
         The guard key ``seq:index`` makes retry backoff deterministic
-        per sentence; the guarded calls themselves are pure (memoised
-        analysis, pure QA resolution), so re-invoking them after a
-        transient fault is free of side effects by construction.
+        per sentence; the guarded calls write nothing but the record
+        store and the memo, both only with complete values, so
+        re-invoking them after a transient fault is free of side
+        effects by construction.
         """
-        resilience = self.resilience
         key = f"{message.seq}:{index}"
-        if resilience is None:
-            analysis = self._analyze_sentence(sentence, memo)
-        else:
-            analysis = resilience.guard(
-                "parser", key, lambda: self._analyze_sentence(sentence, memo)
-            )
-        plan = _SentencePlan(sentence=sentence, analysis=analysis)
-        if analysis.pattern.is_question:
-            if resilience is None:
-                plan.resolution = self._resolve_question(sentence, memo)
-            else:
-                plan.resolution = resilience.guard(
-                    "qa", key, lambda: self._resolve_question(sentence, memo)
-                )
-        elif analysis.review.is_correct:
-            # Fill the lazy semantic review now (cached on the analysis),
-            # so the commit phase's read is guaranteed fault-free.
-            if resilience is None:
-                self._semantic_review(analysis)
-            else:
-                resilience.guard(
-                    "semantic", key, lambda: self._semantic_review(analysis)
-                )
-        return plan
+        record, review = self._guarded(
+            "parser", key, lambda: self._analyze_sentence(sentence, memo)
+        )
+        if record.pattern.is_question:
+            self._guarded("qa", key, lambda: self._resolve_question(record, sentence))
+        elif review.is_correct:
+            # Fill the lazy semantic review now (kept on the record), so
+            # the commit phase's read is guaranteed fault-free.
+            self._guarded("semantic", key, lambda: self._semantic_review(record))
+        return _SentencePlan(record=record, review=review)
+
+    def _record_key(self, sentence: str) -> tuple:
+        """The analysis record key: everything a record's value reads.
+
+        Agent identities make shard forks of one pipeline share records
+        while an unrelated pipeline's agents never match; the dictionary
+        version and ontology generations make an edit a cache miss.
+        """
+        return (
+            self.learning_angel.analysis_key,
+            id(self.semantic_agent),
+            id(self.qa_system.matcher),
+            self.learning_angel.analyzer.dictionary.version,
+            self.semantic_agent.ontology.generation,
+            # The agents normally share one ontology; this covers a QA
+            # system wired to another.
+            self.qa_system.ontology.generation,
+            sentence,
+        )
 
     def _analyze_sentence(
         self, sentence: str, memo: dict | None
-    ) -> _SentenceAnalysis:
-        """Tokenise, classify and review one sentence — pure, memoisable.
+    ) -> tuple[_AnalysisRecord, SyntaxReview]:
+        """The sentence's record and this occurrence's syntax review.
 
-        Reviews of correct sentences are corpus-independent, so duplicates
-        within a batch reuse the first occurrence's analysis; faulty
-        sentences re-run (their suggestion search reads the live corpus).
-
-        The memo key carries the identities of the static state a review
-        depends on (dictionary, parse options, keyword filter, semantic
-        agent): shard forks of one pipeline share entries,
-        while unrelated pipelines registered on the same server
-        (different dictionary or keyword filter) never serve each
-        other's analyses.
-
-        In shard-local mode every analysis is memoisable: replica reads
-        are frozen at the barrier snapshot, so even a faulty sentence's
-        suggestion search is a pure function of (sentence, snapshot) for
-        the length of the cycle.  Because those entries embed
-        corpus-dependent suggestions, the key then also carries the
-        *base* corpus identity — shard forks of one pipeline share it,
-        pipelines bound to different corpora never do.  The runtime
-        hands each barrier cycle a fresh memo, so no entry outlives the
-        snapshot it was computed against.
+        The record is built once per key — tokenise, classify, static
+        review, with repairs for statements only — and enters the store
+        complete.  A faulty statement then searches the learner corpus
+        for a suggestion on every occurrence, because the corpus grows
+        between posts.  In shard-local mode replica reads are frozen at
+        the barrier snapshot, so the search is a pure function of
+        (record, snapshot) for the cycle and the runtime's per-cycle
+        ``memo`` shares it; its key carries the *base* corpus identity,
+        which shard forks of one pipeline share.
         """
+        key = self._record_key(sentence)
+        record = self.records.get(key)
+        if record is None:
+            tokenized = tokenize(sentence)
+            pattern = classify(tokenized)
+            static = self.learning_angel.static_review(
+                tokenized, pattern, repair=not pattern.is_question
+            )
+            record = self.records.add(key, _AnalysisRecord(tokenized, pattern, static))
+        review = record.review
+        if review.is_correct or record.pattern.is_question:
+            return record, review
         stores = self.shard_stores
-        corpus_id = (
-            id(stores.corpus.base)
-            if stores is not None and stores.corpus is not None
-            else None
-        )
-        key = (self.learning_angel.analysis_key, id(self.semantic_agent), corpus_id, sentence)
-        if memo is not None:
-            cached = memo.get(key)
-            if cached is not None:
-                return cached
-        tokenized = tokenize(sentence)
-        pattern = classify(tokenized)
-        review = self.learning_angel.review(tokenized, pattern=pattern)
-        analysis = _SentenceAnalysis(
-            tokenized=tokenized,
-            pattern=pattern,
-            review=review,
-            shareable=review.is_correct,
-        )
-        if memo is not None and (analysis.shareable or self.shard_stores is not None):
-            memo[key] = analysis
-        return analysis
+        if memo is None or stores is None or stores.corpus is None:
+            return record, self.learning_angel.suggest(record.tokenized, review)
+        memo_key = (id(stores.corpus.base), key)
+        suggested = memo.get(memo_key)
+        if suggested is None:
+            suggested = memo[memo_key] = self.learning_angel.suggest(record.tokenized, review)
+        return record, suggested
 
-    def _semantic_review(self, analysis: _SentenceAnalysis) -> SemanticReview:
-        """The (lazily computed, shareable) semantic review of a statement."""
-        semantic = analysis.semantic
+    def _semantic_review(self, record: _AnalysisRecord) -> SemanticReview:
+        """The (lazily computed, record-held) semantic review of a statement."""
+        semantic = record.semantic
         if semantic is not None:
             return semantic
         # Learning_Angel's keyword matches are reusable only when both
         # agents share one keyword filter (the default wiring).
         shared_keywords = (
-            analysis.review.keywords
+            record.review.keywords
             if self.learning_angel.keyword_filter is self.semantic_agent.keyword_filter
             else None
         )
         semantic = self.semantic_agent.review(
-            analysis.tokenized,
+            record.tokenized,
             syntactically_ok=True,
-            analysis=analysis.pattern,
+            analysis=record.pattern,
             keywords=shared_keywords,
         )
-        analysis.semantic = semantic
+        record.semantic = semantic
         return semantic
 
     def _emit_reply(
@@ -456,12 +505,10 @@ class SupervisionPipeline:
         """
         self.stats.sentences += 1
         now = message.timestamp
-        analysis = plan.analysis
-        pattern = analysis.pattern
-        review = analysis.review
+        review = plan.review
         posted = 0
 
-        if pattern.is_question:
+        if plan.record.pattern.is_question:
             posted += self._handle_question(
                 server, message, plan, index, now, already_posted
             )
@@ -487,7 +534,7 @@ class SupervisionPipeline:
                     if reply.severity.value == "correction":
                         self.stats.corrections_suggested += 1
         else:
-            semantic = self._semantic_review(analysis)
+            semantic = self._semantic_review(plan.record)
             if semantic.verdict == SemanticVerdict.VIOLATION:
                 self.stats.semantic_violations += 1
                 verdict = Correctness.SEMANTIC_ERROR
@@ -529,24 +576,16 @@ class SupervisionPipeline:
         )
         return posted
 
-    def _resolve_question(self, sentence: str, memo: dict | None):
-        """The pure resolution of one question, each distinct one once.
+    def _resolve_question(self, record: _AnalysisRecord, sentence: str) -> QAResolution:
+        """The (lazily computed, record-held) resolution of a question.
 
-        Mirrors the sentence-analysis split: the resolution (template
-        match + lazy ontology answer) is memoised across the drain
-        batch, keyed by the static matcher identity so shard forks
-        share entries.  The per-item apply (FAQ lookup
-        and bump, corpus fallback) runs in the commit phase.
+        Template match plus lazy ontology answer, once per distinct
+        question; the per-item apply (FAQ lookup and bump, corpus
+        fallback) runs in the commit phase.
         """
-        key = None
-        if memo is not None:
-            key = ("qa", id(self.qa_system.matcher), sentence)
-            resolution = memo.get(key)
-            if resolution is not None:
-                return resolution
-        resolution = self.qa_system.resolve(sentence)
-        if memo is not None:
-            memo[key] = resolution
+        resolution = record.resolution
+        if resolution is None:
+            resolution = record.resolution = self.qa_system.resolve(sentence)
         return resolution
 
     def _handle_question(
@@ -558,14 +597,14 @@ class SupervisionPipeline:
         now: float,
         already_posted: int,
     ) -> int:
-        review = plan.analysis.review
+        review = plan.review
         self.stats.questions += 1
         # The origin (message seq, sentence index) keys FAQ merge order:
         # a redriven or backfilled question commits late, and the origin
         # is what keeps the FAQ's representative entry the one the
         # fault-free, in-order run would have kept.
         answer = self.qa_system.apply_resolution(
-            plan.resolution, now=now, origin=(message.seq, index)
+            plan.record.resolution, now=now, origin=(message.seq, index)
         )
         posted = 0
         if answer.answered:

@@ -289,17 +289,17 @@ def bench_parallel_drain(rooms: int = 16, rounds: int = 12, workers: int = 4) ->
 
     Both systems drain once per posted round: ``queued`` with
     ``auto_drain=False`` on one worker, ``parallel`` with ``workers``
-    shards.  The ``queued`` drain writes the shared corpus, so a faulty
-    sentence (whose repair and suggestion search read the live corpus)
-    must be re-analysed for every room it was posted to.  The
-    ``parallel`` mode freezes each drain cycle against the barrier
-    snapshot: its shared memo legitimately dedups *every* repeated
-    sentence — faulty ones included — and its workers run on a thread
+    shards.  Both analyse each distinct sentence once (the pipeline's
+    analysis record).  The ``queued`` drain writes the shared corpus, so
+    a faulty sentence's suggestion search (which reads the live corpus)
+    runs for every room it was posted to.  The ``parallel`` mode freezes
+    each drain cycle against the barrier snapshot: its per-cycle memo
+    legitimately shares those searches, and its workers run on a thread
     pool (real core parallelism on free-threaded builds).  The merged
     state is asserted equal to the serial drain by
     ``tests/chatroom/test_runtime_parity.py``; this workload prices the
     difference.  The traffic is eight templates repeated across rooms,
-    the case the memo dedup serves; on diverse traffic it does not pay
+    the case the memo serves; on diverse traffic it does not pay
     (see docs/runtime.md).
     """
     from repro.core.system import SystemConfig

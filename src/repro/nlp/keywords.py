@@ -20,6 +20,9 @@ from repro.ontology.model import Item, ItemKind, Ontology
 
 from .normalize import Lemmatizer, default_lemmatizer
 
+# First token -> [(term tokens, item id)], longest term first.
+_TermTable = dict[str, list[tuple[tuple[str, ...], int]]]
+
 
 @dataclass(frozen=True, slots=True)
 class KeywordMatch:
@@ -46,34 +49,41 @@ class KeywordMatch:
 
 
 class KeywordFilter:
-    """Extracts ontology keywords from tokenised sentences."""
+    """Extracts ontology keywords from tokenised sentences.
+
+    The term table (first token -> candidate terms) is built from the
+    ontology's :meth:`~repro.ontology.model.Ontology.term_index` and
+    rebuilt lazily whenever :attr:`~repro.ontology.model.Ontology.
+    generation` moves, so an item added after construction is matched
+    by every agent sharing this filter.
+    """
 
     def __init__(self, ontology: Ontology, lemmatizer: Lemmatizer | None = None) -> None:
         self.ontology = ontology
         self.lemmatizer = lemmatizer or default_lemmatizer()
-        # first token -> [(token tuple, item id)], longest first.
-        self._by_first: dict[str, list[tuple[tuple[str, ...], int]]] = {}
-        for name, item_id in ontology.term_index().items():
-            tokens = tuple(name.split())
-            if not tokens:
-                continue
-            self._by_first.setdefault(tokens[0], []).append((tokens, item_id))
-        for candidates in self._by_first.values():
-            candidates.sort(key=lambda pair: (-len(pair[0]), pair[0]))
-        self._max_term_length = max(
-            (len(tokens) for lists in self._by_first.values() for tokens, _ in lists),
-            default=1,
-        )
+        self._table_generation = ontology.generation
+        self._by_first = _term_table(ontology)
+
+    def _current_table(self) -> _TermTable:
+        generation = self.ontology.generation
+        if generation == self._table_generation:
+            return self._by_first
+        # Publish the table before its generation: a concurrent reader
+        # that sees the new generation must also see the new table.
+        table = self._by_first = _term_table(self.ontology)
+        self._table_generation = generation
+        return table
 
     def extract(self, text: str | TokenizedSentence) -> list[KeywordMatch]:
         """All ontology keywords, left to right, greedy longest match."""
         sentence = tokenize(text) if isinstance(text, str) else text
         words = sentence.words
         lemmas = self.lemmatizer.lemmas(words)
+        by_first = self._current_table()
         matches: list[KeywordMatch] = []
         position = 0
         while position < len(words):
-            match = self._match_at(words, lemmas, position)
+            match = self._match_at(by_first, words, lemmas, position)
             if match is None:
                 position += 1
             else:
@@ -82,10 +92,14 @@ class KeywordFilter:
         return matches
 
     def _match_at(
-        self, words: tuple[str, ...], lemmas: tuple[str, ...], position: int
+        self,
+        by_first: _TermTable,
+        words: tuple[str, ...],
+        lemmas: tuple[str, ...],
+        position: int,
     ) -> KeywordMatch | None:
         for key in (words[position], lemmas[position]):
-            for term_tokens, item_id in self._by_first.get(key, ()):
+            for term_tokens, item_id in by_first.get(key, ()):
                 end = position + len(term_tokens)
                 if end > len(words):
                     continue
@@ -120,3 +134,14 @@ class KeywordFilter:
         """(concepts, operations) — the pairing the distance stage needs."""
         grouped = self.extract_by_kind(text)
         return grouped.get(ItemKind.CONCEPT, []), grouped.get(ItemKind.OPERATION, [])
+
+
+def _term_table(ontology: Ontology) -> _TermTable:
+    by_first: _TermTable = {}
+    for name, item_id in ontology.term_index().items():
+        tokens = tuple(name.split())
+        if tokens:
+            by_first.setdefault(tokens[0], []).append((tokens, item_id))
+    for candidates in by_first.values():
+        candidates.sort(key=lambda pair: (-len(pair[0]), pair[0]))
+    return by_first

@@ -52,15 +52,16 @@ class QAResolution:
     """The pure, store-independent part of answering one question.
 
     Template matching and the ontology answer depend only on static
-    state (keyword filter, templates, ontology), so a drain batch
-    resolves each *distinct* question once and shares the resolution
-    across every room that asked it; :meth:`QASystem.apply_resolution`
-    then performs the per-item side effects (FAQ lookup and bump,
-    corpus fallback).  The ontology answer is computed lazily — a
-    question that hits the FAQ cache on every apply never pays for it —
-    and cached on the resolution, so it is computed at most once per
-    batch.  The lazy fill is value-deterministic (a pure function of the
-    match), making shared resolutions safe across worker threads.
+    state (keyword filter, templates, ontology), so the supervision
+    pipeline resolves each *distinct* question once, keeps the
+    resolution in the question's analysis record and shares it across
+    every room that asks it; :meth:`QASystem.apply_resolution` then
+    performs the per-item side effects (FAQ lookup and bump, corpus
+    fallback).  The ontology answer is computed lazily — a question that
+    hits the FAQ cache on every apply never pays for it — and cached on
+    the resolution, so it is computed at most once.  The lazy fill is
+    value-deterministic (a pure function of the match), making shared
+    resolutions safe across worker threads.
     """
 
     question: str
@@ -161,8 +162,8 @@ class QASystem:
     ) -> "QASystem":
         """A twin bound to shard-local stores but sharing every static
         collaborator (ontology, keyword filter, matcher, evaluator) —
-        shared matchers are what let worker threads share one
-        resolution memo per drain batch."""
+        shared matchers are what let worker threads share the
+        pipeline's analysis records, resolutions included."""
         twin = QASystem.__new__(QASystem)
         twin.ontology = self.ontology
         twin.faq = faq if faq is not None else self.faq

@@ -18,8 +18,8 @@ cadence and must reproduce the reference's
 
 The fast subset runs in tier 1; the full executor × cadence sweep is
 ``@pytest.mark.slow``.  The rest of the file pins the drain schedule
-itself: deferral, idempotence, the post-time role snapshot, the batch
-memo's isolation and runtime construction.
+itself: deferral, idempotence, the post-time role snapshot, the
+analysis record store's isolation and runtime construction.
 """
 
 from __future__ import annotations
@@ -246,8 +246,8 @@ class TestDeferredDrain:
         assert system.stats.messages == 0
 
 
-class TestBatchMemoIsolation:
-    def test_memo_shared_within_pipeline_but_not_across(self):
+class TestAnalysisRecordIsolation:
+    def test_records_shared_within_pipeline_but_not_across(self):
         from repro.agents.learning_angel import LearningAngelAgent
         from repro.agents.semantic_agent import SemanticAgent
         from repro.chatroom.supervisor import SupervisionPipeline
@@ -266,15 +266,20 @@ class TestBatchMemoIsolation:
 
         first, second = pipeline(), pipeline()
         (fork_a, _), (fork_b, _) = first.fork_shard(), first.fork_shard()
-        memo: dict = {}
         sentence = "We push an element onto the stack."
-        a = fork_a._analyze_sentence(sentence, memo)
-        # Forks of one pipeline share its agents -> they reuse each
-        # other's entry...
-        assert fork_b._analyze_sentence(sentence, memo) is a
-        # ...an unrelated pipeline (own agents) never does.
-        assert second._analyze_sentence(sentence, memo) is not a
-        assert len(memo) == 2
+        a, _ = fork_a._analyze_sentence(sentence, None)
+        # Forks of one pipeline share its record store and agents ->
+        # they reuse each other's record...
+        assert fork_b._analyze_sentence(sentence, None)[0] is a
+        assert first._analyze_sentence(sentence, None)[0] is a
+        # ...an unrelated pipeline (own agents, own store) never does.
+        assert second._analyze_sentence(sentence, None)[0] is not a
+        assert len(first.records) == 1 and len(second.records) == 1
+        # Even sharing a store, another pipeline's agents miss: the key
+        # carries their identities.
+        second.records = first.records
+        assert second._analyze_sentence(sentence, None)[0] is not a
+        assert len(first.records) == 2
 
 
 class TestRuntimeConstruction:

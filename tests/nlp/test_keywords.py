@@ -109,3 +109,66 @@ class TestLemmatizer:
 
     def test_table_is_populated(self):
         assert len(default_lemmatizer()) > 200
+
+
+class TestOntologyEdits:
+    """A filter built before an ontology edit matches what a filter
+    built after it does — and so do the agents and QA that share it."""
+
+    SENTENCES = (
+        "The skiplist has a push operation.",
+        "We push the data onto the skiplist.",
+        "The skiplist is a list.",
+        "The skiplist doesn't have pop method.",
+    )
+    QUESTIONS = (
+        "What is a skiplist?",
+        "Does the skiplist have the push operation?",
+        "Which data structures have the push operation?",
+        "What operations does the skiplist support?",
+    )
+
+    def edited_system(self):
+        from repro.core.system import ELearningSystem
+        from repro.linkgrammar.lexicon.domain import build_domain_dictionary
+        from repro.ontology.domains.data_structures import build_data_structure_ontology
+        from repro.ontology.model import Definition, Item, ItemKind, RelationKind
+
+        ontology = build_data_structure_ontology()
+        system = ELearningSystem(build_domain_dictionary(), ontology)
+        for sentence in self.SENTENCES:  # warm every lazily built table
+            system.semantic_agent.review(sentence)
+        next_id = max(item.item_id for item in ontology.items()) + 1
+        ontology.add_item(
+            Item(
+                next_id,
+                "skiplist",
+                ItemKind.CONCEPT,
+                category="container",
+                definition=Definition("A skiplist layers sorted linked lists."),
+            )
+        )
+        ontology.add_relation("skiplist", RelationKind.IS_A, "list")
+        ontology.add_relation("skiplist", RelationKind.HAS_OPERATION, "push")
+        return system
+
+    def test_live_system_matches_fresh_objects(self):
+        from repro.agents.semantic_agent import SemanticAgent
+        from repro.qa.engine import QASystem
+
+        system = self.edited_system()
+        ontology = system.ontology
+        fresh_filter = KeywordFilter(ontology)
+        fresh_agent = SemanticAgent(ontology)
+        fresh_qa = QASystem(ontology)
+        for sentence in self.SENTENCES:
+            assert system.keyword_filter.extract(sentence) == fresh_filter.extract(sentence)
+            assert system.semantic_agent.review(sentence) == fresh_agent.review(sentence)
+        assert "skiplist" in [
+            match.name for match in system.keyword_filter.extract(self.SENTENCES[0])
+        ]
+        for question in self.QUESTIONS:
+            live, fresh = system.qa.resolve(question), fresh_qa.resolve(question)
+            assert (live.match, live.item_ids) == (fresh.match, fresh.item_ids)
+            assert system.qa.answer(question) == fresh_qa.answer(question)
+        assert system.qa.resolve("What is a skiplist?").item_ids != ()
